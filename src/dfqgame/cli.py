@@ -64,21 +64,16 @@ def load_config(args) -> xp.ExperimentConfig:
     else:
         cfg = xp.default_config()
 
-    hp = cfg.hp
-    if args.epochs is not None:
-        hp = replace(hp, epochs=args.epochs)
-    if args.tau is not None:
-        hp = replace(hp, tau=args.tau)
-    if args.lambda_l is not None:
-        hp = replace(hp, lambda_l=args.lambda_l)
-    if args.lambda_u is not None:
-        hp = replace(hp, lambda_u=args.lambda_u)
-    if args.disable:
-        terms = tuple(t.strip() for t in args.disable.split(",") if t.strip())
-        try:
+    overrides = {key: getattr(args, key)
+                 for key in ("epochs", "tau", "lambda_l", "lambda_u")
+                 if getattr(args, key) is not None}
+    try:
+        hp = replace(cfg.hp, **overrides)
+        if args.disable:
+            terms = tuple(t.strip() for t in args.disable.split(",") if t.strip())
             hp = ablation_config(hp, terms)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     cfg = replace(cfg, hp=hp)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

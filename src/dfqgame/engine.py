@@ -9,6 +9,8 @@ operand's shape.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 
@@ -77,8 +79,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A fresh array, never `g` itself: `a + b` hands the same
+            # out.grad to both parents. Adding 0.0 maps -0.0 to +0.0, so
+            # the stored values are bitwise those of zeros + g.
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -91,6 +97,12 @@ class Tensor:
 
     @staticmethod
     def _check_conform(a: np.ndarray, b: np.ndarray, op: str) -> None:
+        sa, sb = a.shape, b.shape
+        # A shape that ends the other one always broadcasts: equal shapes,
+        # 0-d operands, (B, C) op (C,). When sb is the longer shape the
+        # first slice is too short to equal it, and the second test applies.
+        if sa[len(sa) - len(sb):] == sb or sb[len(sb) - len(sa):] == sa:
+            return
         try:
             np.broadcast_shapes(a.shape, b.shape)
         except ValueError:
@@ -267,7 +279,7 @@ class Tensor:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                self._accumulate(np.broadcast_to(g, self.shape))
 
         return self._result(out_data, (self,), backward)
 
@@ -313,6 +325,25 @@ class Tensor:
         self.grad = None
 
 
+@contextlib.contextmanager
+def frozen(params: list[Tensor]):
+    """Hold `params` out of the graph for the duration of the block.
+
+    Every flag is set to False on entry and put back as it was on exit,
+    also when the block raises. Forwards run inside build no graph
+    nodes unless an input tensor itself requires a gradient.
+    """
+    params = list(params)
+    prev = [t.requires_grad for t in params]
+    for t in params:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(params, prev):
+            t.requires_grad = flag
+
+
 # -- functional layer primitives ----------------------------------------------
 
 
@@ -351,8 +382,6 @@ class BatchNorm:
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
         self.frozen_stats = False  # quantized copies keep P's stats fixed
-        self.last_batch_mean: np.ndarray | None = None
-        self.last_batch_var: np.ndarray | None = None
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -369,8 +398,6 @@ class BatchNorm:
                 raise ValueError("batch_norm: train mode needs batch size >= 2")
             mu = x.mean(axis=0)
             var = ((x - mu) * (x - mu)).mean(axis=0)
-            self.last_batch_mean = mu.data.copy()
-            self.last_batch_var = var.data.copy()
             if mode == "train" and not self.frozen_stats:
                 m = self.MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * mu.data

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import AdamState, SgdNesterovState, Tensor, gaussian, softmax
+from .engine import AdamState, SgdNesterovState, Tensor, frozen, gaussian, softmax
 from .adapt import (
     BalanceGapRecord,
     LogitsPair,
@@ -69,6 +69,9 @@ class HyperParams:
                 f"({self.lambda_l}, {self.lambda_u})")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
         if min(self.alpha, self.beta, self.gamma) < 0.0:
             raise ValueError("loss weights must be non-negative")
         if self.bns_stat not in ("variance", "std"):
@@ -213,10 +216,11 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
                      probe_z: Tensor, probe_y: Tensor) -> float:
     """R on the fixed probe batch as a pure function of (theta_g, theta_q):
     G uses batch statistics without touching its running buffers, P and Q
-    run in eval mode."""
-    x = g.forward(probe_z, probe_y, mode="batch")
-    lp = LogitsPair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
-    return game_value(lp).item()
+    run in eval mode. Nothing is differentiated, so no graph is built."""
+    with frozen(g.parameters() + p.parameters() + q.parameters()):
+        x = g.forward(probe_z, probe_y, mode="batch")
+        lp = LogitsPair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
+        return game_value(lp).item()
 
 
 def probe_game_gradients(g: Generator, p: MLP, q: QuantizedMLP,
@@ -245,18 +249,6 @@ def _restore(params: list[Tensor], snap: list[np.ndarray]) -> None:
         t.data = s.copy()
 
 
-def _set_requires_grad(params: list[Tensor], flag: bool) -> list[bool]:
-    prev = [t.requires_grad for t in params]
-    for t in params:
-        t.requires_grad = flag
-    return prev
-
-
-def _restore_requires_grad(params: list[Tensor], prev: list[bool]) -> None:
-    for t, f in zip(params, prev):
-        t.requires_grad = f
-
-
 # -- steps ------------------------------------------------------------------
 
 
@@ -268,14 +260,11 @@ def draw_batch(rng, batch_size: int, noise_dim: int, class_count: int):
 
 def maximization_step(state: GameState, z: Tensor, y: Tensor) -> dict:
     """One Adam step on the generator; Q is held bit-identical."""
-    prev = _set_requires_grad(state.q.parameters(), False)
-    try:
+    with frozen(state.q.parameters()):
         l_g, components = generator_loss(state.g, state.p, state.q, z, y, state.hp)
         state.opt_g.zero_grad()
         l_g.backward()
         state.opt_g.step()
-    finally:
-        _restore_requires_grad(state.q.parameters(), prev)
     components["l_g"] = l_g.item()
     return components
 
@@ -283,8 +272,9 @@ def maximization_step(state: GameState, z: Tensor, y: Tensor) -> dict:
 def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
     """One Nesterov-SGD step on Q against the calibration loss, on a fresh
     batch from the just-updated generator; G is held bit-identical."""
-    x = state.g.forward(z, y, mode="batch").detach()
-    z_p = state.p.forward(x, mode="eval").detach()
+    with frozen(state.g.parameters() + state.p.parameters()):
+        x = state.g.forward(z, y, mode="batch")
+        z_p = state.p.forward(x, mode="eval")
     z_q = state.q.forward(x, mode="eval")
     l_q = calibration_loss(LogitsPair(z_p, z_q), state.hp.tau)
     if not math.isfinite(l_q.item()):
@@ -298,7 +288,8 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
 def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
               rng) -> GameState:
     """Freeze P, build optimizers, draw the fixed probe batch."""
-    _set_requires_grad(p.parameters(), False)
+    for t in p.parameters():
+        t.requires_grad = False
     probe_z, probe_y = draw_batch(rng, PROBE_BATCH, g.spec.noise_dim,
                                   g.spec.class_count)
     return GameState(

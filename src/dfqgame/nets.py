@@ -15,6 +15,7 @@ from .engine import (
     AdamState,
     Tensor,
     ShapeMismatchError,
+    frozen,
     softmax,
 )
 from .quant import QuantConfig, fake_quantize
@@ -157,6 +158,9 @@ class QuantizedMLP:
             self.blocks.append((Affine(prev, width, rng), bn))
             prev = width
         self.head = Affine(prev, spec.class_count, rng)
+        # per weight, in forward order: (bits, copy of the array last
+        # quantized, its fake-quantized result), or None before the first
+        self._weight_cache: list = [None] * (len(self.blocks) + 1)
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -169,13 +173,36 @@ class QuantizedMLP:
             return t
         return fake_quantize(t, self.cfg.bits)
 
+    def _fq_weight(self, slot: int, w: Tensor) -> Tensor:
+        """fake_quantize(w), reusing the last result while w is unchanged.
+
+        Weights are written in place (optimizer steps, checkpoint loads,
+        finite-difference probes), so only a comparison of values can
+        tell that a weight is unchanged.
+        """
+        if self.cfg is None:
+            return w
+        bits = self.cfg.bits
+        cached = self._weight_cache[slot]
+        if (cached is not None and cached[0] == bits
+                and np.array_equal(cached[1], w.data)):
+            def backward(node):  # straight-through, as in fake_quantize
+                w._accumulate(node.grad)
+
+            return Tensor._result(cached[2], (w,), backward)
+        out = fake_quantize(w, bits)
+        out.data.flags.writeable = False  # shared by every later hit
+        self._weight_cache[slot] = (bits, w.data.copy(), out.data)
+        return out
+
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         h = x
-        for aff, bn in self.blocks:
-            h = self._fq(h) @ self._fq(aff.weight) + aff.bias
+        for slot, (aff, bn) in enumerate(self.blocks):
+            h = self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
             h = bn(h, "eval")  # stats frozen; affine params still train
             h = h.relu()
-        logits = self._fq(h) @ self._fq(self.head.weight) + self.head.bias
+        head_w = self._fq_weight(len(self.blocks), self.head.weight)
+        logits = self._fq(h) @ head_w + self.head.bias
         return logits
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -259,7 +286,8 @@ def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:
 
 
 def accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
-    logits = net.forward(Tensor(x), mode="eval")
+    with frozen(net.parameters()):
+        logits = net.forward(Tensor(x), mode="eval")
     pred = logits.data.argmax(axis=1)
     return float((pred == labels).mean())
 

@@ -70,6 +70,10 @@ class ExperimentConfig:
     generator: GeneratorSpec = field(default_factory=GeneratorSpec)
     hp: game.HyperParams = field(default_factory=game.HyperParams)
 
+    def __post_init__(self):
+        if self.eval_period < 1:
+            raise ConfigError(f"eval_period must be >= 1, got {self.eval_period}")
+
 
 def synth_dataset(spec: DatasetSpec, seed: int):
     """Paired anisotropic Gaussian clusters, balanced, with a deterministic
@@ -281,7 +285,11 @@ def emit_similarity(p_ds: np.ndarray, path) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _quartile_bg(logs, which: str) -> float:
+def _quartile_bg(logs, which: str) -> float | None:
+    """Mean |bg| over the first or last quarter of the iterations; None
+    (JSON null) when the game ran no iteration."""
+    if not logs:
+        return None
     bgs = np.array([abs(log.bg.bg) for log in logs])
     k = max(1, len(bgs) // 4)
     return float(bgs[:k].mean() if which == "first" else bgs[-k:].mean())

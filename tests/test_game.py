@@ -251,6 +251,51 @@ class TestSteps:
         assert not any(t.requires_grad for t in p.parameters())
 
 
+class TestRequiresGradFlags:
+    """Forwards run frozen, then every flag is put back as it was."""
+
+    def _setup(self, p):
+        q, g = fresh_players(p)
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        params = p.parameters() + q.parameters() + g.parameters()
+        for i, t in enumerate(params):
+            t.requires_grad = i % 3 != 0  # a mix that no freeze produces
+        return state, params, [t.requires_grad for t in params]
+
+    def test_flags_restored_after_each_forward(self, trained_setup):
+        p, (sx, sy) = trained_setup
+        state, params, flags = self._setup(p)
+        z, y = draw_batch(seeded_rng(1), 8, 5, 4)
+        probe_game_value(state.g, p, state.q, state.probe_z, state.probe_y)
+        assert [t.requires_grad for t in params] == flags
+        maximization_step(state, z, y)
+        assert [t.requires_grad for t in params] == flags
+        minimization_step(state, z, y)
+        assert [t.requires_grad for t in params] == flags
+        for net in (p, state.q):
+            nets.accuracy(net, sx, sy)
+            assert [t.requires_grad for t in params] == flags
+
+    def test_flags_restored_when_the_forward_raises(self, trained_setup):
+        p, (sx, sy) = trained_setup
+        state, params, flags = self._setup(p)
+        z, _ = draw_batch(seeded_rng(1), 8, 5, 4)
+        bad_y = Tensor(np.full((8, 4), 0.25))  # not one-hot: G raises
+        with pytest.raises(ValueError):
+            probe_game_value(state.g, p, state.q, z, bad_y)
+        assert [t.requires_grad for t in params] == flags
+        with pytest.raises(ValueError):
+            maximization_step(state, z, bad_y)
+        assert [t.requires_grad for t in params] == flags
+        with pytest.raises(ValueError):
+            minimization_step(state, z, bad_y)
+        assert [t.requires_grad for t in params] == flags
+        for net in (p, state.q):
+            with pytest.raises(ValueError):  # ShapeMismatchError
+                nets.accuracy(net, sx[:, :3], sy)
+            assert [t.requires_grad for t in params] == flags
+
+
 class TestRunGame:
     def test_log_count_and_bg_identity(self, trained_setup):
         p, eval_data = trained_setup

@@ -4,8 +4,13 @@ and checkpoint serialization."""
 import numpy as np
 import pytest
 
-from dfqgame import nets, xp
-from dfqgame.engine import ShapeMismatchError, Tensor, seeded_rng
+from dfqgame import game, nets, xp
+from dfqgame.engine import (
+    SgdNesterovState,
+    ShapeMismatchError,
+    Tensor,
+    seeded_rng,
+)
 from dfqgame.nets import (
     CheckpointError,
     Generator,
@@ -154,6 +159,54 @@ class TestQuantizedMLP:
             np.testing.assert_array_equal(qb.running_mean, pb.running_mean)
             np.testing.assert_array_equal(qb.running_var, pb.running_var)
             assert qb.frozen_stats
+
+    @pytest.mark.parametrize("cfg", [QuantConfig(3), None])
+    def test_weight_cache_follows_in_place_writes(self, cfg, tmp_path):
+        p, sx, _ = self._trained_p()
+        q = init_q_from_p(p, cfg)
+        x = Tensor(sx)
+
+        def assert_matches_uncached(net):
+            fresh = QuantizedMLP(net.spec, net.cfg)
+            for (_, dst), (_, src) in zip(fresh.named_arrays(),
+                                          net.named_arrays()):
+                dst[...] = src
+            np.testing.assert_array_equal(net.forward(x).data,
+                                          fresh.forward(x).data)
+
+        def grads():
+            for t in q.parameters():
+                t.grad = None
+            q.forward(x).sum().backward()
+            return [t.grad.copy() for t in q.parameters()]
+
+        snap = game._snapshot(q.parameters())
+        assert_matches_uncached(q)
+        # a cache hit passes the same straight-through gradient as a miss
+        for a, b in zip(grads(), grads()):
+            np.testing.assert_array_equal(a, b)
+
+        SgdNesterovState(q.parameters(), lr=0.1).step()
+        assert_matches_uncached(q)
+
+        w = q.blocks[0][0].weight
+        w.data[0, 0] += 1e-3
+        assert_matches_uncached(q)
+        w.data.flat[w.data.argmax()] += 1e-3  # moves the quantization range
+        assert_matches_uncached(q)
+
+        other = init_q_from_p(p, cfg)
+        for t in other.parameters():
+            t.data += 0.05
+        save_checkpoint(other, tmp_path / "q.ckpt")
+        loaded = load_checkpoint(tmp_path / "q.ckpt")
+        assert_matches_uncached(loaded)
+        for (_, dst), (_, src) in zip(q.named_arrays(), loaded.named_arrays()):
+            dst[...] = src  # the in-place write load_checkpoint makes
+        assert_matches_uncached(q)
+
+        game._restore(q.parameters(), snap)
+        assert_matches_uncached(q)
 
     def test_weights_are_copies_not_views(self):
         p, _, _ = self._trained_p()

@@ -121,6 +121,14 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             parse_config("[hyperparams]\nlambda_l = 0.9\nlambda_u = 0.1\n")
 
+    @pytest.mark.parametrize("text", [
+        "[experiment]\neval_period = 0\n",   # epoch % eval_period
+        "[hyperparams]\nbatch_size = 1\n",   # batch norm needs two samples
+    ])
+    def test_values_that_crash_mid_run_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
 
 class TestMetricsEmission:
     def _state_with_logs(self):
@@ -175,6 +183,19 @@ class TestRunExperiment:
         assert on_disk == summary
         assert 0.0 <= summary["q_init_accuracy"] <= 1.0
         assert summary["p_accuracy"] >= 0.0
+
+    def test_zero_epochs_summary_is_strict_json(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run",
+                          hp=game.HyperParams(epochs=0, iters_per_epoch=3))
+        run_experiment(cfg)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        with open(os.path.join(cfg.out_dir, "summary.json")) as f:
+            summary = json.load(f, parse_constant=reject)
+        assert summary["mean_abs_bg_first_quartile"] is None
+        assert summary["mean_abs_bg_last_quartile"] is None
 
     def test_metrics_row_per_iteration(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
@@ -237,6 +258,18 @@ class TestCli:
 
     def test_disable_flag_validated(self):
         assert cli.main(["train", "--disable", "L_nope"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--lambda-l", "0.9"], ["--tau", "-1"]])
+    def test_hyperparameter_flags_validated(self, flags, capsys):
+        assert cli.main(["quantize-eval", *flags]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_hyperparameter_flags_applied_together(self):
+        # --lambda-l 0.85 alone is above the default lambda_u = 0.8
+        args = cli.build_parser().parse_args(
+            ["train", "--lambda-l", "0.85", "--lambda-u", "0.9"])
+        hp = cli.load_config(args).hp
+        assert (hp.lambda_l, hp.lambda_u) == (0.85, 0.9)
 
     def _tiny_ini(self, tmp_path) -> str:
         path = tmp_path / "cfg.ini"
