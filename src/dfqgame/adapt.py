@@ -127,9 +127,12 @@ def adaptability_vector(p_ds: Tensor, h: Tensor) -> Tensor:
     return (p_ds / norm) * h.reshape(-1, 1)
 
 
-def game_value(lp: LogitsPair, batch_min: float | None = None) -> Tensor:
-    """Monte-Carlo game value: mean over the batch of 1 - H'."""
-    p_ds = disagreement_distribution(lp)
+def game_value(lp: LogitsPair, tau: float = 1.0,
+               batch_min: float | None = None) -> Tensor:
+    """Monte-Carlo game value: mean over the batch of 1 - H', with the
+    disagreement distribution softened by temperature `tau`. At the
+    configured tau this is Q's calibration loss."""
+    p_ds = softmax(lp.z_p - lp.z_q, axis=-1, temperature=tau)
     h_info = info_entropy(p_ds, validate=False)
     h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
     return 1.0 - h_norm.mean()

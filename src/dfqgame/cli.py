@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 from . import nets, xp
-from .engine import seeded_rng
 from .game import LOSS_NAMES, ablation_config
 from .nets import NumericalError
 from .quant import QuantConfig
@@ -27,7 +26,7 @@ def _add_common(sp):
     sp.add_argument("--config", help="path to an INI config file")
     sp.add_argument("--seed", type=int, help="master seed")
     sp.add_argument("--bits", type=int, help="quantization bit width")
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--out", dest="out_dir", help="output directory")
     sp.add_argument("--epochs", type=int, help="game epochs")
     sp.add_argument("--tau", type=float, help="calibration temperature")
     sp.add_argument("--lambda-l", type=float, dest="lambda_l")
@@ -64,50 +63,30 @@ def load_config(args) -> xp.ExperimentConfig:
     else:
         cfg = xp.default_config()
 
-    overrides = {key: getattr(args, key)
-                 for key in ("epochs", "tau", "lambda_l", "lambda_u")
-                 if getattr(args, key) is not None}
+    def flags(*keys) -> dict:
+        return {key: getattr(args, key) for key in keys
+                if getattr(args, key) is not None}
+
     try:
-        hp = replace(cfg.hp, **overrides)
+        hp = replace(cfg.hp, **flags("epochs", "tau", "lambda_l", "lambda_u"))
         if args.disable:
             terms = tuple(t.strip() for t in args.disable.split(",") if t.strip())
             hp = ablation_config(hp, terms)
+        return replace(cfg, hp=hp, **flags("seed", "bits", "out_dir"))
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    cfg = replace(cfg, hp=hp)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.bits is not None:
-        cfg = replace(cfg, bits=args.bits)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if not 2 <= cfg.bits <= 8:
-        raise ConfigError(f"bits must be in [2, 8], got {cfg.bits}")
-    return cfg
-
-
-def _pretrain(cfg: xp.ExperimentConfig):
-    import numpy as np
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    data = xp.synth_dataset(cfg.dataset, int(seeds[0].generate_state(1)[0]))
-    p = nets.build_p(cfg.network, seeded_rng(int(seeds[1].generate_state(1)[0])))
-    acc = nets.pretrain_p(p, data[0], data[1], data[2], data[3],
-                          epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr,
-                          batch_size=cfg.pretrain_batch,
-                          rng=seeded_rng(int(seeds[2].generate_state(1)[0])))
-    return p, data, acc
 
 
 def cmd_pretrain(cfg: xp.ExperimentConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    p, _, acc = _pretrain(cfg)
+    p, _, acc = xp.pretrain(cfg)
     nets.save_checkpoint(p, os.path.join(cfg.out_dir, "p.ckpt"))
     print(f"P held-out accuracy: {acc:.4f}")
     return 0
 
 
 def cmd_quantize_eval(cfg: xp.ExperimentConfig) -> int:
-    p, data, p_acc = _pretrain(cfg)
+    p, data, p_acc = xp.pretrain(cfg)
     q = nets.init_q_from_p(p, QuantConfig(bits=cfg.bits))
     q_acc = nets.accuracy(q, data[2], data[3])
     print(f"P accuracy: {p_acc:.4f}")

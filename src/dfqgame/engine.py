@@ -381,7 +381,6 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(width), requires_grad=True)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.frozen_stats = False  # quantized copies keep P's stats fixed
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -398,7 +397,7 @@ class BatchNorm:
                 raise ValueError("batch_norm: train mode needs batch size >= 2")
             mu = x.mean(axis=0)
             var = ((x - mu) * (x - mu)).mean(axis=0)
-            if mode == "train" and not self.frozen_stats:
+            if mode == "train":
                 m = self.MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * mu.data
                 self.running_var = (1 - m) * self.running_var + m * var.data

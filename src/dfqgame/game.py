@@ -8,12 +8,13 @@ and after the two steps to produce a balance-gap record per iteration.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import AdamState, SgdNesterovState, Tensor, frozen, gaussian, softmax
+from .engine import AdamState, SgdNesterovState, Tensor, frozen, gaussian
 from .adapt import (
     BalanceGapRecord,
     LogitsPair,
@@ -31,7 +32,6 @@ from .nets import (
     NumericalError,
     QuantizedMLP,
     accuracy,
-    collect_generated_bns,
     one_hot,
 )
 
@@ -69,6 +69,9 @@ class HyperParams:
                 f"({self.lambda_l}, {self.lambda_u})")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr_g, self.lr_q)):
+            raise ValueError(f"learning rates must be finite and >= 0, got "
+                             f"lr_g={self.lr_g}, lr_q={self.lr_q}")
         if self.batch_size < 2:
             raise ValueError(
                 f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
@@ -112,23 +115,49 @@ class GameState:
     probe_z: Tensor
     probe_y: Tensor
     logs: list[IterationLog] = field(default_factory=list)
-    iteration: int = 0
+
+    def snapshot(self):
+        """Copies of everything an iteration writes: G's and Q's arrays
+        (parameters and BN running statistics) and both optimizers'
+        moments and step counts."""
+        return copy.deepcopy((
+            self.g.named_arrays() + self.q.named_arrays(),
+            self.opt_g.m, self.opt_g.v, self.opt_g.step_count,
+            self.opt_q.velocity, self.opt_q.step_count))
+
+    def restore(self, snap) -> None:
+        """Return to a snapshot(). Arrays are written in place, so every
+        reference to a parameter stays valid."""
+        arrays, *opt_state = copy.deepcopy(snap)
+        for (_, dst), (_, src) in zip(self.g.named_arrays()
+                                      + self.q.named_arrays(), arrays):
+            dst[...] = src
+        (self.opt_g.m, self.opt_g.v, self.opt_g.step_count,
+         self.opt_q.velocity, self.opt_q.step_count) = opt_state
 
 
 # -- losses -------------------------------------------------------------------
 
 
 def loss_ds(p_ds: Tensor, y: Tensor) -> Tensor:
-    """Cross-entropy pushing the disagreement distribution toward the
-    conditioning label."""
+    """Cross-entropy pushing the disagreement (for L_as: the agreement)
+    distribution toward the conditioning label."""
     logp = p_ds.clip_min(_CE_FLOOR).log()
     return -(y * logp).sum(axis=-1).mean()
 
 
-def loss_as(p_as: Tensor, y: Tensor) -> Tensor:
-    """Cross-entropy pushing the agreement distribution toward the label."""
-    logp = p_as.clip_min(_CE_FLOOR).log()
-    return -(y * logp).sum(axis=-1).mean()
+loss_as = loss_ds
+# Q's calibration loss is the game value at temperature tau.
+calibration_loss = game_value
+
+
+def _logits_pair(z_p: Tensor, z_q: Tensor) -> LogitsPair:
+    """LogitsPair of P's and Q's forwards; non-finite logits mean that a
+    player diverged, which is a NumericalError."""
+    try:
+        return LogitsPair(z_p, z_q)
+    except ValueError as e:
+        raise NumericalError(f"{e}: a player diverged") from None
 
 
 def loss_bound(h_norm: Tensor, lambda_l: float, lambda_u: float) -> Tensor:
@@ -166,19 +195,13 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     and Q's are held out of the graph by the caller during this step.
     """
     x = g.forward(z, y, mode="train")
-    z_p, (taps_mean, taps_var) = p.forward(x, mode="eval", collect_bns=True)
-    z_q = q.forward(x, mode="eval")
-    lp = LogitsPair(z_p, z_q)
+    z_p, record = p.forward(x, mode="eval", collect_bns=True)
+    lp = _logits_pair(z_p, q.forward(x, mode="eval"))
     p_ds = disagreement_distribution(lp)
     p_as = agreement_distribution(lp)
     h_info = info_entropy(p_ds, validate=False)
     h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
 
-    record = BNStatsRecord(
-        mean_generated=taps_mean, var_generated=taps_var,
-        mean_stored=[bn.running_mean for _, bn in p.blocks],
-        var_stored=[bn.running_var for _, bn in p.blocks],
-    )
     l_ds = loss_ds(p_ds, y)
     l_as = loss_as(p_as, y)
     l_b = loss_bound(h_norm, hp.lambda_l, hp.lambda_u)
@@ -200,16 +223,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     return l_g, components
 
 
-def calibration_loss(lp: LogitsPair, tau: float, batch_min: float | None = None) -> Tensor:
-    """Mean of 1 - H' over temperature-softened disagreement; at tau=1 this
-    is exactly the game value."""
-    p_ds = softmax(lp.z_p - lp.z_q, axis=-1, temperature=tau)
-    h_info = info_entropy(p_ds, validate=False)
-    h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
-    return 1.0 - h_norm.mean()
-
-
-# -- probe / snapshots ----------------------------------------------------------
+# -- probe --------------------------------------------------------------------
 
 
 def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
@@ -219,34 +233,8 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
     run in eval mode. Nothing is differentiated, so no graph is built."""
     with frozen(g.parameters() + p.parameters() + q.parameters()):
         x = g.forward(probe_z, probe_y, mode="batch")
-        lp = LogitsPair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
+        lp = _logits_pair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
         return game_value(lp).item()
-
-
-def probe_game_gradients(g: Generator, p: MLP, q: QuantizedMLP,
-                         probe_z: Tensor, probe_y: Tensor):
-    """Gradients of the probe game value w.r.t. G's and Q's parameters."""
-    params = g.parameters() + q.parameters()
-    for t in params:
-        t.grad = None
-    x = g.forward(probe_z, probe_y, mode="batch")
-    lp = LogitsPair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
-    value = game_value(lp)
-    value.backward()
-    grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-             for t in params]
-    for t in params:
-        t.grad = None
-    return grads
-
-
-def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
-    return [t.data.copy() for t in params]
-
-
-def _restore(params: list[Tensor], snap: list[np.ndarray]) -> None:
-    for t, s in zip(params, snap):
-        t.data = s.copy()
 
 
 # -- steps ------------------------------------------------------------------
@@ -276,7 +264,7 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
         x = state.g.forward(z, y, mode="batch")
         z_p = state.p.forward(x, mode="eval")
     z_q = state.q.forward(x, mode="eval")
-    l_q = calibration_loss(LogitsPair(z_p, z_q), state.hp.tau)
+    l_q = game_value(_logits_pair(z_p, z_q), state.hp.tau)
     if not math.isfinite(l_q.item()):
         raise NumericalError(f"non-finite calibration loss: {l_q.item()}")
     state.opt_q.zero_grad()
@@ -301,6 +289,20 @@ def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
     )
 
 
+def play_iteration(state: GameState, max_batch, min_batch,
+                   epoch: int = 0, iteration: int = 0) -> IterationLog:
+    """One maximization step on `max_batch`, then one minimization step on
+    `min_batch`, with the game value probed before, between and after."""
+    g, p, q = state.g, state.p, state.q
+    r_before = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    components = maximization_step(state, *max_batch)
+    r_mid = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    l_q = minimization_step(state, *min_batch)
+    r_after = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    return IterationLog(epoch=epoch, iteration=iteration, l_q=l_q,
+                        bg=balance_gap(r_before, r_mid, r_after), **components)
+
+
 def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
              eval_data=None, eval_period: int = 10) -> GameState:
     """The full alternating loop.
@@ -309,36 +311,21 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     every `eval_period` epochs (and on the final iteration).
     """
     state = init_game(p, q, g, hp, rng)
+
+    def draw():
+        return draw_batch(rng, hp.batch_size, g.spec.noise_dim, g.spec.class_count)
+
     for epoch in range(hp.epochs):
         if epoch > 0 and hp.lr_decay_period > 0 and epoch % hp.lr_decay_period == 0:
             state.opt_q.lr *= hp.lr_decay_factor
         for it in range(hp.iters_per_epoch):
-            r_before = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-            z, y = draw_batch(rng, hp.batch_size, g.spec.noise_dim,
-                              g.spec.class_count)
-            components = maximization_step(state, z, y)
-            r_mid = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-            z2, y2 = draw_batch(rng, hp.batch_size, g.spec.noise_dim,
-                                g.spec.class_count)
-            l_q = minimization_step(state, z2, y2)
-            r_after = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-
-            state.iteration += 1
+            log = play_iteration(state, draw(), draw(), epoch, it)
             last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
-            q_acc = None
             if eval_data is not None and (
                     (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)
                     or last_iter):
-                q_acc = accuracy(q, eval_data[0], eval_data[1])
-            state.logs.append(IterationLog(
-                epoch=epoch, iteration=it,
-                l_ds=components["l_ds"], l_as=components["l_as"],
-                l_b=components["l_b"], l_bns=components["l_bns"],
-                l_g=components["l_g"], l_q=l_q,
-                bg=balance_gap(r_before, r_mid, r_after),
-                mean_h_norm=components["mean_h_norm"],
-                q_accuracy=q_acc,
-            ))
+                log.q_accuracy = accuracy(q, eval_data[0], eval_data[1])
+            state.logs.append(log)
     return state
 
 
@@ -369,43 +356,18 @@ def bg_halving_trial(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
     half_hp = replace(hp, lr_g=hp.lr_g / 2, lr_q=hp.lr_q / 2)
     pairs = []
     for _ in range(iterations):
-        z1, y1 = draw_batch(rng, hp.batch_size, g.spec.noise_dim, g.spec.class_count)
-        z2, y2 = draw_batch(rng, hp.batch_size, g.spec.noise_dim, g.spec.class_count)
-        g_params, q_params = g.parameters(), q.parameters()
-        snap_g, snap_q = _snapshot(g_params), _snapshot(q_params)
-        opt_g_snap = ([m.copy() for m in state.opt_g.m],
-                      [v.copy() for v in state.opt_g.v], state.opt_g.step_count)
-        opt_q_snap = ([v.copy() for v in state.opt_q.velocity],
-                      state.opt_q.step_count)
-        bn_snap = [(bn.running_mean.copy(), bn.running_var.copy())
-                   for _, bn in g.blocks]
+        batches = [draw_batch(rng, hp.batch_size, g.spec.noise_dim,
+                              g.spec.class_count) for _ in range(2)]
 
         def one_iteration(hp_used):
             state.hp = hp_used
             state.opt_g.lr = hp_used.lr_g
             state.opt_q.lr = hp_used.lr_q
-            r_before = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-            maximization_step(state, z1, y1)
-            r_mid = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-            minimization_step(state, z2, y2)
-            r_after = probe_game_value(g, p, q, state.probe_z, state.probe_y)
-            return balance_gap(r_before, r_mid, r_after)
+            return play_iteration(state, *batches).bg
 
-        def restore_all():
-            _restore(g_params, snap_g)
-            _restore(q_params, snap_q)
-            state.opt_g.m = [m.copy() for m in opt_g_snap[0]]
-            state.opt_g.v = [v.copy() for v in opt_g_snap[1]]
-            state.opt_g.step_count = opt_g_snap[2]
-            state.opt_q.velocity = [v.copy() for v in opt_q_snap[0]]
-            state.opt_q.step_count = opt_q_snap[1]
-            for (rm, rv), (_, bn) in zip(bn_snap, g.blocks):
-                bn.running_mean = rm.copy()
-                bn.running_var = rv.copy()
-
+        snap = state.snapshot()
         bg_half = one_iteration(half_hp)
-        restore_all()
-        bg_full = one_iteration(hp)
-        pairs.append((bg_full, bg_half))
+        state.restore(snap)
+        pairs.append((one_iteration(hp), bg_half))
     state.hp = hp
     return pairs

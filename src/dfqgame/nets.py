@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class NetworkSpec:
             raise ValueError("class_count must be >= 2")
         if not self.batch_norm or not self.hidden:
             raise ValueError("architecture needs at least one BN layer")
+        if min(self.input_dim, *self.hidden) < 1:  # a width of 0 divides by 0
+            raise ValueError(f"input_dim and hidden widths must be >= 1, got "
+                             f"{self.input_dim} and {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,10 @@ class GeneratorSpec:
     hidden: tuple = (64, 64)
     output_dim: int = 20
     class_count: int = 10
+
+    def __post_init__(self):
+        if min(self.noise_dim, self.output_dim, self.class_count, *self.hidden) < 1:
+            raise ValueError(f"generator dims and widths must be >= 1, got {self}")
 
 
 @dataclass
@@ -83,44 +90,24 @@ class Affine:
         return [self.weight, self.bias]
 
 
-class MLP:
-    """Full-precision classifier P."""
+class _BlockStack:
+    """Affine -> BN -> ReLU blocks and an affine head: the body that P, Q
+    and G share. Subclasses keep their own `forward`."""
 
-    def __init__(self, spec: NetworkSpec, rng=None):
+    def __init__(self, spec, in_dim: int, out_dim: int, rng=None):
         self.spec = spec
         self.blocks = []
-        prev = spec.input_dim
+        prev = in_dim
         for width in spec.hidden:
             self.blocks.append((Affine(prev, width, rng), BatchNorm(width)))
             prev = width
-        self.head = Affine(prev, spec.class_count, rng)
+        self.head = Affine(prev, out_dim, rng)
 
     def parameters(self) -> list[Tensor]:
         out = []
         for aff, bn in self.blocks:
             out += aff.parameters() + bn.parameters()
         return out + self.head.parameters()
-
-    def forward(self, x: Tensor, mode: str = "eval", collect_bns: bool = False):
-        if x.shape[-1] != self.spec.input_dim:
-            raise ShapeMismatchError(
-                f"input dim {x.shape[-1]} != {self.spec.input_dim}"
-            )
-        taps_mean, taps_var = [], []
-        h = x
-        for aff, bn in self.blocks:
-            h = aff(h)
-            if collect_bns:
-                mu = h.mean(axis=0)
-                var = ((h - mu) * (h - mu)).mean(axis=0)
-                taps_mean.append(mu)
-                taps_var.append(var)
-            h = bn(h, mode)
-            h = h.relu()
-        logits = self.head(h)
-        if collect_bns:
-            return logits, (taps_mean, taps_var)
-        return logits
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -137,10 +124,47 @@ class MLP:
                 ("head.bias", self.head.bias.data)]
         return out
 
+    def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
+        """Layer `slot` of the forward order (the head is the last)."""
+        return aff(h)
 
-class QuantizedMLP:
+    def _hidden(self, h: Tensor, mode: str, taps=None) -> Tensor:
+        """Run the blocks; `taps`, a (means, variances) pair of lists,
+        receives the batch statistics of each BN layer's input."""
+        for slot, (aff, bn) in enumerate(self.blocks):
+            h = self._affine(slot, aff, h)
+            if taps is not None:
+                mu = h.mean(axis=0)
+                taps[0].append(mu)
+                taps[1].append(((h - mu) * (h - mu)).mean(axis=0))
+            h = bn(h, mode).relu()
+        return h
+
+
+class MLP(_BlockStack):
+    """Full-precision classifier P."""
+
+    def __init__(self, spec: NetworkSpec, rng=None):
+        super().__init__(spec, spec.input_dim, spec.class_count, rng)
+
+    def forward(self, x: Tensor, mode: str = "eval", collect_bns: bool = False):
+        """Logits; with collect_bns, (logits, BNStatsRecord of this batch)."""
+        if x.shape[-1] != self.spec.input_dim:
+            raise ShapeMismatchError(
+                f"input dim {x.shape[-1]} != {self.spec.input_dim}"
+            )
+        taps = ([], []) if collect_bns else None
+        logits = self.head(self._hidden(x, mode, taps))
+        if collect_bns:
+            return logits, BNStatsRecord(
+                *taps, [bn.running_mean.copy() for _, bn in self.blocks],
+                [bn.running_var.copy() for _, bn in self.blocks])
+        return logits
+
+
+class QuantizedMLP(_BlockStack):
     """Q: shares P's architecture; weights and activations fake-quantized
-    in the forward pass, BN running stats frozen to P's values.
+    in the forward pass, BN always in eval mode on P's running stats.
 
     cfg=None disables quantization entirely (exact copy of P's math),
     which the gradient test harness uses to check everything around the
@@ -148,25 +172,11 @@ class QuantizedMLP:
     """
 
     def __init__(self, spec: NetworkSpec, cfg: QuantConfig | None, rng=None):
-        self.spec = spec
+        super().__init__(spec, spec.input_dim, spec.class_count, rng)
         self.cfg = cfg
-        self.blocks = []
-        prev = spec.input_dim
-        for width in spec.hidden:
-            bn = BatchNorm(width)
-            bn.frozen_stats = True
-            self.blocks.append((Affine(prev, width, rng), bn))
-            prev = width
-        self.head = Affine(prev, spec.class_count, rng)
         # per weight, in forward order: (bits, copy of the array last
         # quantized, its fake-quantized result), or None before the first
         self._weight_cache: list = [None] * (len(self.blocks) + 1)
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for aff, bn in self.blocks:
-            out += aff.parameters() + bn.parameters()
-        return out + self.head.parameters()
 
     def _fq(self, t: Tensor) -> Tensor:
         if self.cfg is None:
@@ -195,42 +205,30 @@ class QuantizedMLP:
         self._weight_cache[slot] = (bits, w.data.copy(), out.data)
         return out
 
+    def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
+        return self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
+
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
-        h = x
-        for slot, (aff, bn) in enumerate(self.blocks):
-            h = self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
-            h = bn(h, "eval")  # stats frozen; affine params still train
-            h = h.relu()
-        head_w = self._fq_weight(len(self.blocks), self.head.weight)
-        logits = self._fq(h) @ head_w + self.head.bias
-        return logits
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return MLP.named_arrays(self)
+        h = self._hidden(x, "eval")  # stats frozen; affine params still train
+        return self._affine(len(self.blocks), self.head, h)
 
 
-class Generator:
+class Generator(_BlockStack):
     """G: sample x = G(z | y) with an additive learned label embedding."""
 
     def __init__(self, spec: GeneratorSpec, rng=None):
-        self.spec = spec
         if rng is None:
             emb = np.zeros((spec.class_count, spec.noise_dim))
         else:
             emb = rng.standard_normal((spec.class_count, spec.noise_dim))
         self.embedding = Tensor(emb, requires_grad=True)
-        self.blocks = []
-        prev = spec.noise_dim
-        for width in spec.hidden:
-            self.blocks.append((Affine(prev, width, rng), BatchNorm(width)))
-            prev = width
-        self.head = Affine(prev, spec.output_dim, rng)
+        super().__init__(spec, spec.noise_dim, spec.output_dim, rng)
 
     def parameters(self) -> list[Tensor]:
-        out = [self.embedding]
-        for aff, bn in self.blocks:
-            out += aff.parameters() + bn.parameters()
-        return out + self.head.parameters()
+        return [self.embedding] + super().parameters()
+
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [("embedding", self.embedding.data)] + super().named_arrays()
 
     def forward(self, z: Tensor, y: Tensor, mode: str = "train") -> Tensor:
         if z.shape[-1] != self.spec.noise_dim:
@@ -238,25 +236,7 @@ class Generator:
                 f"noise dim {z.shape[-1]} != {self.spec.noise_dim}"
             )
         _validate_one_hot(y, self.spec.class_count)
-        h = z + y @ self.embedding
-        for aff, bn in self.blocks:
-            h = bn(aff(h), mode).relu()
-        return self.head(h)
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out = [("embedding", self.embedding.data)]
-        for i, (aff, bn) in enumerate(self.blocks):
-            out += [
-                (f"block{i}.weight", aff.weight.data),
-                (f"block{i}.bias", aff.bias.data),
-                (f"block{i}.gamma", bn.gamma.data),
-                (f"block{i}.beta", bn.beta.data),
-                (f"block{i}.running_mean", bn.running_mean),
-                (f"block{i}.running_var", bn.running_var),
-            ]
-        out += [("head.weight", self.head.weight.data),
-                ("head.bias", self.head.bias.data)]
-        return out
+        return self.head(self._hidden(z + y @ self.embedding, mode))
 
 
 def _validate_one_hot(y: Tensor, class_count: int) -> None:
@@ -299,7 +279,8 @@ def build_p(spec: NetworkSpec, rng) -> MLP:
 def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
                epochs: int = 30, lr: float = 1e-3, batch_size: int = 32,
                rng=None) -> float:
-    """Cross-entropy training of P; returns held-out accuracy."""
+    """Cross-entropy training of P; returns held-out accuracy. A P that
+    ends with a non-finite array raises NumericalError."""
     if train_y.min() < 0 or train_y.max() >= p.spec.class_count:
         raise ValueError("labels out of range")
     opt = AdamState(p.parameters(), lr=lr)
@@ -320,6 +301,9 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
             opt.zero_grad()
             loss.backward()
             opt.step()
+    bad = [name for name, a in p.named_arrays() if not np.isfinite(a).all()]
+    if bad:
+        raise NumericalError(f"pretraining diverged: non-finite {bad}")
     return accuracy(p, test_x, test_y)
 
 
@@ -327,21 +311,9 @@ def init_q_from_p(p: MLP, cfg: QuantConfig | None) -> QuantizedMLP:
     """Quantized copy of P: weights/activations fake-quantized, BN running
     stats copied and frozen, BN affine parameters trainable."""
     q = QuantizedMLP(p.spec, cfg)
-    for (pa, pb), (qa, qb) in zip(p.blocks, q.blocks):
-        qa.weight.data = pa.weight.data.copy()
-        qa.bias.data = pa.bias.data.copy()
-        qb.gamma.data = pb.gamma.data.copy()
-        qb.beta.data = pb.beta.data.copy()
-        qb.running_mean = pb.running_mean.copy()
-        qb.running_var = pb.running_var.copy()
-    q.head.weight.data = p.head.weight.data.copy()
-    q.head.bias.data = p.head.bias.data.copy()
+    for (_, dst), (_, src) in zip(q.named_arrays(), p.named_arrays()):
+        dst[...] = src
     return q
-
-
-def generator_forward(g: Generator, z: Tensor, y: Tensor,
-                      mode: str = "train") -> Tensor:
-    return g.forward(z, y, mode)
 
 
 def collect_generated_bns(p: MLP, x: Tensor) -> BNStatsRecord:
@@ -349,13 +321,7 @@ def collect_generated_bns(p: MLP, x: Tensor) -> BNStatsRecord:
     paired with P's stored running stats."""
     if x.shape[0] < 2:
         raise ValueError("collect_generated_bns: batch size must be >= 2")
-    _, (taps_mean, taps_var) = p.forward(x, mode="eval", collect_bns=True)
-    return BNStatsRecord(
-        mean_generated=taps_mean,
-        var_generated=taps_var,
-        mean_stored=[bn.running_mean.copy() for _, bn in p.blocks],
-        var_stored=[bn.running_var.copy() for _, bn in p.blocks],
-    )
+    return p.forward(x, mode="eval", collect_bns=True)[1]
 
 
 # -- checkpoint container -----------------------------------------------------
@@ -368,23 +334,25 @@ _MAGIC = b"ADSG"
 _VERSION = 1
 
 
-def _net_kind(net) -> str:
-    if isinstance(net, QuantizedMLP):
-        return "quantized_mlp"
-    if isinstance(net, MLP):
-        return "mlp"
-    if isinstance(net, Generator):
-        return "generator"
-    raise TypeError(f"cannot checkpoint {type(net).__name__}")
+# kind -> (network class, spec class)
+_KINDS = {
+    "mlp": (MLP, NetworkSpec),
+    "quantized_mlp": (QuantizedMLP, NetworkSpec),
+    "generator": (Generator, GeneratorSpec),
+}
+_HEADER_KEYS = {"kind", "spec", "quant_bits", "arrays"}
 
 
 def save_checkpoint(net, path) -> None:
+    kind = next((k for k, (cls, _) in _KINDS.items() if type(net) is cls), None)
+    if kind is None:
+        raise TypeError(f"cannot checkpoint {type(net).__name__}")
     arrays = net.named_arrays()
+    cfg = getattr(net, "cfg", None)
     header = {
-        "kind": _net_kind(net),
+        "kind": kind,
         "spec": net.spec.__dict__ | {},
-        "quant_bits": (net.cfg.bits if isinstance(net, QuantizedMLP)
-                       and net.cfg is not None else None),
+        "quant_bits": None if cfg is None else cfg.bits,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header).encode("utf-8")
@@ -397,7 +365,27 @@ def save_checkpoint(net, path) -> None:
             f.write(a.astype("<f8").tobytes())
 
 
+def _empty_net(header: dict):
+    """The network a header describes, before its arrays are read."""
+    if set(header) != _HEADER_KEYS:
+        raise CheckpointError(f"header keys {sorted(header)} != {sorted(_HEADER_KEYS)}")
+    if header["kind"] not in _KINDS:
+        raise CheckpointError(f"unknown network kind {header['kind']!r}")
+    cls, spec_cls = _KINDS[header["kind"]]
+    spec = header["spec"]
+    expected = {f.name for f in fields(spec_cls)}
+    if set(spec) != expected:
+        raise CheckpointError(f"spec keys {sorted(spec)} != {sorted(expected)}")
+    spec = spec_cls(**{**spec, "hidden": tuple(spec["hidden"])})
+    if cls is QuantizedMLP:
+        bits = header["quant_bits"]
+        return cls(spec, None if bits is None else QuantConfig(bits=bits))
+    return cls(spec)
+
+
 def load_checkpoint(path):
+    """Read a checkpoint; anything but a well-formed file, with every
+    array of its network exactly once, raises CheckpointError."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != _MAGIC:
@@ -410,47 +398,29 @@ def load_checkpoint(path):
         raise CheckpointError("truncated header")
     try:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        net = _empty_net(header)
+        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt header: {e}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed header: {e!r}") from None
 
-    kind = header.get("kind")
-    spec = header.get("spec", {})
-    if kind == "mlp":
-        net = MLP(NetworkSpec(input_dim=spec["input_dim"],
-                              hidden=tuple(spec["hidden"]),
-                              class_count=spec["class_count"],
-                              batch_norm=spec["batch_norm"]))
-    elif kind == "quantized_mlp":
-        bits = header.get("quant_bits")
-        cfg = QuantConfig(bits=bits) if bits is not None else None
-        net = QuantizedMLP(NetworkSpec(input_dim=spec["input_dim"],
-                                       hidden=tuple(spec["hidden"]),
-                                       class_count=spec["class_count"],
-                                       batch_norm=spec["batch_norm"]), cfg)
-    elif kind == "generator":
-        net = Generator(GeneratorSpec(noise_dim=spec["noise_dim"],
-                                      hidden=tuple(spec["hidden"]),
-                                      output_dim=spec["output_dim"],
-                                      class_count=spec["class_count"]))
-    else:
-        raise CheckpointError(f"unknown network kind {kind!r}")
-
-    targets = dict((n, a) for n, a in net.named_arrays())
+    targets = dict(net.named_arrays())
     offset = 16 + hlen
-    for entry in header["arrays"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in targets:
-            raise CheckpointError(f"unexpected array {name!r}")
-        dst = targets[name]
+    for name, shape in entries:
+        dst = targets.pop(name, None)
+        if dst is None:
+            raise CheckpointError(f"unexpected or repeated array {name!r}")
         if dst.shape != shape:
             raise CheckpointError(
                 f"array {name!r}: shape {shape} != expected {dst.shape}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        end = offset + nbytes
+        end = offset + dst.size * 8
         if end > len(raw):
             raise CheckpointError(f"truncated array data at {name!r}")
-        dst[...] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
+        dst[...] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(dst.shape)
         offset = end
+    if targets:
+        raise CheckpointError(f"missing arrays {sorted(targets)}")
     if offset != len(raw):
         raise CheckpointError("trailing bytes after last array")
     return net

@@ -20,13 +20,10 @@ class QuantConfig:
     """Quantization settings shared by weights and activations."""
 
     bits: int
-    tie_break: str = "half-away-from-zero"
-    weight_granularity: str = "per-tensor"
-    activation_mode: str = "dynamic-per-batch"
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 8:
-            raise ValueError(f"bits must be in [2, 8], got {self.bits}")
+        if not (isinstance(self.bits, int) and 2 <= self.bits <= 8):
+            raise ValueError(f"bits must be an integer in [2, 8], got {self.bits}")
 
 
 @dataclass

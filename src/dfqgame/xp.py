@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -50,6 +51,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.class_count < 2 or self.class_count % 2 != 0:
             raise ConfigError("class_count must be even and >= 2")
+        if self.input_dim < 1:
+            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.samples_per_class < 20:
             raise ConfigError("samples_per_class must be >= 20")
         if self.spread <= 0.0 or self.cluster_scale <= 0.0 or self.pair_offset <= 0.0:
@@ -73,6 +76,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.eval_period < 1:
             raise ConfigError(f"eval_period must be >= 1, got {self.eval_period}")
+        if not 2 <= self.bits <= 8:
+            raise ConfigError(f"bits must be in [2, 8], got {self.bits}")
+        d, n, g = self.dataset, self.network, self.generator
+        if not (d.input_dim == n.input_dim == g.output_dim
+                and d.class_count == n.class_count == g.class_count):
+            raise ConfigError("network and generator must match the dataset's "
+                              "input_dim and class_count")
+        if self.pretrain_batch < 2:  # batch norm needs two samples
+            raise ConfigError(
+                f"pretrain_batch must be >= 2, got {self.pretrain_batch}")
+        if not (math.isfinite(self.pretrain_lr) and self.pretrain_lr >= 0.0):
+            raise ConfigError(
+                f"pretrain_lr must be finite and >= 0, got {self.pretrain_lr}")
 
 
 def synth_dataset(spec: DatasetSpec, seed: int):
@@ -110,149 +126,77 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
+# INI section, the ExperimentConfig field it fills ("" for the top level),
+# and its keys in file order. A value's type is that of the field default.
+_SECTIONS = (
+    ("experiment", "", ("seed", "bits", "out_dir", "eval_period",
+                        "pretrain_epochs", "pretrain_lr", "pretrain_batch")),
+    ("dataset", "dataset", ("class_count", "input_dim", "samples_per_class",
+                            "cluster_scale", "pair_offset", "spread")),
+    ("network", "network", ("input_dim", "hidden", "class_count")),
+    ("generator", "generator", ("noise_dim", "hidden")),
+    ("hyperparams", "hp", ("alpha", "beta", "gamma", "lambda_l", "lambda_u",
+                           "tau", "lr_g", "lr_q", "batch_size", "epochs",
+                           "iters_per_epoch", "lr_decay_factor",
+                           "lr_decay_period", "bns_stat")),
+)
+
+
 def config_to_text(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["experiment"] = {
-        "seed": str(cfg.seed), "bits": str(cfg.bits),
-        "out_dir": cfg.out_dir, "eval_period": str(cfg.eval_period),
-        "pretrain_epochs": str(cfg.pretrain_epochs),
-        "pretrain_lr": repr(cfg.pretrain_lr),
-        "pretrain_batch": str(cfg.pretrain_batch),
-    }
-    d = cfg.dataset
-    cp["dataset"] = {
-        "class_count": str(d.class_count), "input_dim": str(d.input_dim),
-        "samples_per_class": str(d.samples_per_class),
-        "cluster_scale": repr(d.cluster_scale),
-        "pair_offset": repr(d.pair_offset), "spread": repr(d.spread),
-    }
-    n = cfg.network
-    cp["network"] = {
-        "input_dim": str(n.input_dim),
-        "hidden": ",".join(str(w) for w in n.hidden),
-        "class_count": str(n.class_count),
-    }
-    g = cfg.generator
-    cp["generator"] = {
-        "noise_dim": str(g.noise_dim),
-        "hidden": ",".join(str(w) for w in g.hidden),
-    }
-    h = cfg.hp
-    cp["hyperparams"] = {
-        "alpha": repr(h.alpha), "beta": repr(h.beta), "gamma": repr(h.gamma),
-        "lambda_l": repr(h.lambda_l), "lambda_u": repr(h.lambda_u),
-        "tau": repr(h.tau), "lr_g": repr(h.lr_g), "lr_q": repr(h.lr_q),
-        "batch_size": str(h.batch_size), "epochs": str(h.epochs),
-        "iters_per_epoch": str(h.iters_per_epoch),
-        "lr_decay_factor": repr(h.lr_decay_factor),
-        "lr_decay_period": str(h.lr_decay_period),
-        "bns_stat": h.bns_stat,
-    }
+    for section, attr, keys in _SECTIONS:
+        owner = getattr(cfg, attr) if attr else cfg
+        cp[section] = {key: _format(getattr(owner, key)) for key in keys}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-_KNOWN_SECTIONS = ("experiment", "dataset", "network", "generator", "hyperparams")
+def _format(value) -> str:
+    if isinstance(value, tuple):  # layer widths
+        return ",".join(str(w) for w in value)
+    return str(value)
+
+
+def _parse(text: str, default):
+    if isinstance(default, tuple):
+        return tuple(int(w) for w in text.split(","))
+    return type(default)(text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """Config from INI text; absent keys keep their defaults, and the
+    network and generator follow the dataset's dimensions."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"cannot parse config: {e}") from None
-    for section in cp.sections():
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-    base = default_config()
+    unknown = [s for s in cp.sections() if s not in {n for n, _, _ in _SECTIONS}]
+    if unknown:
+        raise ConfigError(f"unknown config section [{unknown[0]}]")
+    base, kw = default_config(), {}
     try:
-        cfg = _apply_sections(base, cp)
+        for section, attr, keys in _SECTIONS:
+            given = dict(cp[section]) if cp.has_section(section) else {}
+            unknown = set(given) - set(keys)
+            if unknown:
+                raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+            defaults = getattr(base, attr) if attr else base
+            kw[attr] = {key: _parse(value, getattr(defaults, key))
+                        for key, value in given.items()}
+        dataset = DatasetSpec(**kw["dataset"])
+        network = NetworkSpec(**{"input_dim": dataset.input_dim,
+                                 "class_count": dataset.class_count,
+                                 **kw["network"]})
+        generator = GeneratorSpec(**kw["generator"],
+                                  output_dim=network.input_dim,
+                                  class_count=network.class_count)
+        return ExperimentConfig(**kw[""], dataset=dataset, network=network,
+                                generator=generator,
+                                hp=game.HyperParams(**kw["hp"]))
     except (ValueError, KeyError) as e:
         raise ConfigError(str(e)) from None
-    return cfg
-
-
-def _apply_sections(cfg: ExperimentConfig, cp) -> ExperimentConfig:
-    def section(name):
-        return dict(cp[name]) if cp.has_section(name) else {}
-
-    def take(d, key, conv, default):
-        return conv(d[key]) if key in d else default
-
-    e = section("experiment")
-    known_e = {"seed", "bits", "out_dir", "eval_period", "pretrain_epochs",
-               "pretrain_lr", "pretrain_batch"}
-    _reject_unknown("experiment", e, known_e)
-    d = section("dataset")
-    _reject_unknown("dataset", d, {"class_count", "input_dim",
-                                   "samples_per_class", "cluster_scale",
-                                   "pair_offset", "spread"})
-    n = section("network")
-    _reject_unknown("network", n, {"input_dim", "hidden", "class_count"})
-    g = section("generator")
-    _reject_unknown("generator", g, {"noise_dim", "hidden"})
-    h = section("hyperparams")
-    _reject_unknown("hyperparams", h, {
-        "alpha", "beta", "gamma", "lambda_l", "lambda_u", "tau", "lr_g",
-        "lr_q", "batch_size", "epochs", "iters_per_epoch",
-        "lr_decay_factor", "lr_decay_period", "bns_stat"})
-
-    def widths(s):
-        return tuple(int(w) for w in s.split(","))
-
-    dataset = DatasetSpec(
-        class_count=take(d, "class_count", int, cfg.dataset.class_count),
-        input_dim=take(d, "input_dim", int, cfg.dataset.input_dim),
-        samples_per_class=take(d, "samples_per_class", int,
-                               cfg.dataset.samples_per_class),
-        cluster_scale=take(d, "cluster_scale", float, cfg.dataset.cluster_scale),
-        pair_offset=take(d, "pair_offset", float, cfg.dataset.pair_offset),
-        spread=take(d, "spread", float, cfg.dataset.spread),
-    )
-    network = NetworkSpec(
-        input_dim=take(n, "input_dim", int, dataset.input_dim),
-        hidden=take(n, "hidden", widths, cfg.network.hidden),
-        class_count=take(n, "class_count", int, dataset.class_count),
-    )
-    generator = GeneratorSpec(
-        noise_dim=take(g, "noise_dim", int, cfg.generator.noise_dim),
-        hidden=take(g, "hidden", widths, cfg.generator.hidden),
-        output_dim=network.input_dim,
-        class_count=network.class_count,
-    )
-    hp = game.HyperParams(
-        alpha=take(h, "alpha", float, cfg.hp.alpha),
-        beta=take(h, "beta", float, cfg.hp.beta),
-        gamma=take(h, "gamma", float, cfg.hp.gamma),
-        lambda_l=take(h, "lambda_l", float, cfg.hp.lambda_l),
-        lambda_u=take(h, "lambda_u", float, cfg.hp.lambda_u),
-        tau=take(h, "tau", float, cfg.hp.tau),
-        lr_g=take(h, "lr_g", float, cfg.hp.lr_g),
-        lr_q=take(h, "lr_q", float, cfg.hp.lr_q),
-        batch_size=take(h, "batch_size", int, cfg.hp.batch_size),
-        epochs=take(h, "epochs", int, cfg.hp.epochs),
-        iters_per_epoch=take(h, "iters_per_epoch", int, cfg.hp.iters_per_epoch),
-        lr_decay_factor=take(h, "lr_decay_factor", float, cfg.hp.lr_decay_factor),
-        lr_decay_period=take(h, "lr_decay_period", int, cfg.hp.lr_decay_period),
-        bns_stat=take(h, "bns_stat", str, cfg.hp.bns_stat),
-    )
-    return ExperimentConfig(
-        seed=take(e, "seed", int, cfg.seed),
-        bits=take(e, "bits", int, cfg.bits),
-        out_dir=take(e, "out_dir", str, cfg.out_dir),
-        eval_period=take(e, "eval_period", int, cfg.eval_period),
-        pretrain_epochs=take(e, "pretrain_epochs", int, cfg.pretrain_epochs),
-        pretrain_lr=take(e, "pretrain_lr", float, cfg.pretrain_lr),
-        pretrain_batch=take(e, "pretrain_batch", int, cfg.pretrain_batch),
-        dataset=dataset, network=network, generator=generator, hp=hp,
-    )
-
-
-def _reject_unknown(name: str, d: dict, known: set) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
 
 
 # -- metrics emission -----------------------------------------------------------
@@ -298,6 +242,24 @@ def _quartile_bg(logs, which: str) -> float | None:
 # -- pipeline --------------------------------------------------------------------
 
 
+def _stream_seed(seed: int, k: int) -> int:
+    """Seed of the k-th independent stream of a run: 0 the dataset, 1 P's
+    initialization, 2 the pretraining order, 3 G's initialization."""
+    return int(np.random.SeedSequence(seed).spawn(4)[k].generate_state(1)[0])
+
+
+def pretrain(config: ExperimentConfig):
+    """Build the dataset and pretrain P; returns (p, (train_x, train_y,
+    test_x, test_y), held-out accuracy of P)."""
+    data = synth_dataset(config.dataset, _stream_seed(config.seed, 0))
+    p = nets.build_p(config.network, seeded_rng(_stream_seed(config.seed, 1)))
+    p_acc = nets.pretrain_p(
+        p, *data, epochs=config.pretrain_epochs, lr=config.pretrain_lr,
+        batch_size=config.pretrain_batch,
+        rng=seeded_rng(_stream_seed(config.seed, 2)))
+    return p, data, p_acc
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """pretrain P -> init Q -> play the game -> evaluate; writes metrics,
     checkpoints and a summary into config.out_dir."""
@@ -305,31 +267,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with open(os.path.join(config.out_dir, "config.ini"), "w") as f:
         f.write(config_to_text(config))
 
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
-    data_seed = int(seeds[0].generate_state(1)[0])
-    train_x, train_y, test_x, test_y = synth_dataset(config.dataset, data_seed)
+    p, (_, _, test_x, test_y), p_acc = pretrain(config)
+    nets.save_checkpoint(p, os.path.join(config.out_dir, "p.ckpt"))
 
-    p = nets.build_p(config.network, seeded_rng(int(seeds[1].generate_state(1)[0])))
-    try:
-        p_acc = nets.pretrain_p(
-            p, train_x, train_y, test_x, test_y,
-            epochs=config.pretrain_epochs, lr=config.pretrain_lr,
-            batch_size=config.pretrain_batch,
-            rng=seeded_rng(int(seeds[2].generate_state(1)[0])))
-        nets.save_checkpoint(p, os.path.join(config.out_dir, "p.ckpt"))
-
-        q = nets.init_q_from_p(p, QuantConfig(bits=config.bits))
-        q_init_acc = nets.accuracy(q, test_x, test_y)
-
-        g = nets.Generator(config.generator,
-                           seeded_rng(int(seeds[3].generate_state(1)[0])))
-        game_rng = seeded_rng(config.seed)
-        state = game.run_game(p, q, g, config.hp, game_rng,
-                              eval_data=(test_x, test_y),
-                              eval_period=config.eval_period)
-    except NumericalError:
-        nets.save_checkpoint(p, os.path.join(config.out_dir, "p.ckpt"))
-        raise
+    q = nets.init_q_from_p(p, QuantConfig(bits=config.bits))
+    q_init_acc = nets.accuracy(q, test_x, test_y)
+    g = nets.Generator(config.generator,
+                       seeded_rng(_stream_seed(config.seed, 3)))
+    state = game.run_game(p, q, g, config.hp, seeded_rng(config.seed),
+                          eval_data=(test_x, test_y),
+                          eval_period=config.eval_period)
 
     q_final_acc = nets.accuracy(q, test_x, test_y)
     emit_metrics(state, os.path.join(config.out_dir, "metrics.csv"))

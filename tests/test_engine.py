@@ -277,12 +277,6 @@ class TestBatchNorm:
         bn(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])), mode="batch")
         np.testing.assert_array_equal(bn.running_mean, before)
 
-    def test_frozen_stats_block_updates(self):
-        bn = BatchNorm(2)
-        bn.frozen_stats = True
-        bn(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])), mode="train")
-        np.testing.assert_array_equal(bn.running_mean, np.zeros(2))
-
     def test_eval_uses_running_stats(self):
         bn = BatchNorm(1)
         bn.running_mean = np.array([5.0])

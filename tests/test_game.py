@@ -1,12 +1,12 @@
 """Tests for the loss family and the alternating min-max loop."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from dfqgame import game, nets, xp
+from dfqgame import nets, xp
 from dfqgame.adapt import LogitsPair, game_value
 from dfqgame.engine import Tensor, seeded_rng, softmax
 from dfqgame.game import (
@@ -24,6 +24,7 @@ from dfqgame.game import (
     loss_ds,
     maximization_step,
     minimization_step,
+    play_iteration,
     probe_game_value,
     run_game,
 )
@@ -32,7 +33,6 @@ from dfqgame.nets import (
     GeneratorSpec,
     NetworkSpec,
     build_p,
-    collect_generated_bns,
     init_q_from_p,
     one_hot,
     pretrain_p,
@@ -390,6 +390,33 @@ class TestAblation:
         z, y = draw_batch(seeded_rng(0), 8, 5, 4)
         l_g, _ = generator_loss(g, p, q, z, y, hp)
         assert l_g.item() == 0.0
+
+
+class TestSnapshot:
+    def test_restore_replays_an_iteration_bitwise(self, trained_setup):
+        """An iteration run after a detour (a half-step iteration, then
+        restore) equals the same iteration run directly, bit for bit."""
+        p, _ = trained_setup
+        hp = HyperParams()
+        runs = []
+        for detour in (False, True):
+            q, g = fresh_players(p)
+            state = init_game(p, q, g, hp, seeded_rng(0))
+            rng = seeded_rng(1)
+            play_iteration(state, draw_batch(rng, 16, 5, 4),
+                           draw_batch(rng, 16, 5, 4))  # non-zero optimizer state
+            batches = [draw_batch(rng, 16, 5, 4) for _ in range(2)]
+            if detour:
+                snap = state.snapshot()
+                state.opt_g.lr, state.opt_q.lr = hp.lr_g / 2, hp.lr_q / 2
+                play_iteration(state, *batches)
+                state.restore(snap)
+                state.opt_g.lr, state.opt_q.lr = hp.lr_g, hp.lr_q
+            log = play_iteration(state, *batches)
+            runs.append((repr(astuple(log)),
+                         [a.tobytes() for _, a in g.named_arrays() + q.named_arrays()],
+                         state.opt_g.step_count, state.opt_q.step_count))
+        assert runs[0] == runs[1]
 
 
 class TestBgHalvingTrial:

@@ -1,10 +1,12 @@
 """Tests for the three networks, pretraining, quantized initialization,
 and checkpoint serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from dfqgame import game, nets, xp
+from dfqgame import xp
 from dfqgame.engine import (
     SgdNesterovState,
     ShapeMismatchError,
@@ -155,10 +157,10 @@ class TestQuantizedMLP:
     def test_bn_stats_copied_and_frozen(self):
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, QuantConfig(4))
+        q.forward(Tensor(sx), mode="train")  # Q's BN runs in eval mode
         for (_, pb), (_, qb) in zip(p.blocks, q.blocks):
             np.testing.assert_array_equal(qb.running_mean, pb.running_mean)
             np.testing.assert_array_equal(qb.running_var, pb.running_var)
-            assert qb.frozen_stats
 
     @pytest.mark.parametrize("cfg", [QuantConfig(3), None])
     def test_weight_cache_follows_in_place_writes(self, cfg, tmp_path):
@@ -180,7 +182,7 @@ class TestQuantizedMLP:
             q.forward(x).sum().backward()
             return [t.grad.copy() for t in q.parameters()]
 
-        snap = game._snapshot(q.parameters())
+        snap = [t.data.copy() for t in q.parameters()]
         assert_matches_uncached(q)
         # a cache hit passes the same straight-through gradient as a miss
         for a, b in zip(grads(), grads()):
@@ -205,7 +207,8 @@ class TestQuantizedMLP:
             dst[...] = src  # the in-place write load_checkpoint makes
         assert_matches_uncached(q)
 
-        game._restore(q.parameters(), snap)
+        for t, s in zip(q.parameters(), snap):
+            t.data = s  # a new array, as a restore may write
         assert_matches_uncached(q)
 
     def test_weights_are_copies_not_views(self):
@@ -328,3 +331,46 @@ class TestCheckpoints:
         restored = load_checkpoint(tmp_path / "q.ckpt")
         assert isinstance(restored, QuantizedMLP)
         assert restored.cfg.bits == 5
+
+    # Each edit maps (header, array bytes) of a 3-bit Q checkpoint to a
+    # malformed pair; the header length is rewritten to match.
+    HEADER_EDITS = {
+        "array_omitted": lambda h, b: (
+            h | {"arrays": h["arrays"][:-1]}, b[:-8 * SMALL.class_count]),
+        "array_repeated": lambda h, b: (
+            h | {"arrays": h["arrays"] + h["arrays"][-1:]},
+            b + b[-8 * SMALL.class_count:]),
+        "spec_key_missing": lambda h, b: (
+            h | {"spec": {k: v for k, v in h["spec"].items()
+                          if k != "input_dim"}}, b),
+        "spec_key_extra": lambda h, b: (
+            h | {"spec": h["spec"] | {"depth": 2}}, b),
+        "header_is_a_list": lambda h, b: ([h], b),
+        "header_key_missing": lambda h, b: (
+            {k: v for k, v in h.items() if k != "arrays"}, b),
+        "hidden_not_a_list": lambda h, b: (
+            h | {"spec": h["spec"] | {"hidden": 5}}, b),
+        "hidden_width_zero": lambda h, b: (
+            h | {"spec": h["spec"] | {"hidden": [0, 8]}}, b),
+        "class_count_one": lambda h, b: (
+            h | {"spec": h["spec"] | {"class_count": 1}}, b),
+        "quant_bits_out_of_range": lambda h, b: (h | {"quant_bits": 99}, b),
+        "quant_bits_not_an_integer": lambda h, b: (h | {"quant_bits": 3.5}, b),
+        "unknown_kind": lambda h, b: (h | {"kind": "resnet"}, b),
+        "entry_without_shape": lambda h, b: (
+            h | {"arrays": [{"name": e["name"]} for e in h["arrays"]]}, b),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+    def test_malformed_header_rejected(self, edit, tmp_path):
+        path = tmp_path / "q.ckpt"
+        save_checkpoint(init_q_from_p(MLP(SMALL, seeded_rng(7)),
+                                      QuantConfig(3)), path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:16], "little")
+        header, body = self.HEADER_EDITS[edit](json.loads(raw[16:16 + hlen]),
+                                               raw[16 + hlen:])
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + body)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)

@@ -15,7 +15,7 @@ from dfqgame.quant import (
 
 
 class TestQuantConfig:
-    @pytest.mark.parametrize("bits", [1, 0, 9, 16, -3])
+    @pytest.mark.parametrize("bits", [1, 0, 9, 16, -3, 3.5])
     def test_bits_out_of_range_rejected(self, bits):
         with pytest.raises(ValueError):
             QuantConfig(bits=bits)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: dataset, config files, metrics
 emission, the pipeline, ablation sweeps, and the CLI."""
 
+import configparser
 import json
 import os
 from dataclasses import replace
@@ -124,10 +125,24 @@ class TestConfigFiles:
     @pytest.mark.parametrize("text", [
         "[experiment]\neval_period = 0\n",   # epoch % eval_period
         "[hyperparams]\nbatch_size = 1\n",   # batch norm needs two samples
+        "[network]\nhidden = 0,64\n",        # weight init divides by a width
+        "[generator]\nnoise_dim = 0\n",
+        "[dataset]\ninput_dim = 0\n",
+        "[experiment]\npretrain_batch = 1\n",  # every batch skipped, P untrained
+        "[experiment]\npretrain_lr = nan\n",
+        "[hyperparams]\nlr_q = -1\n",
+        "[hyperparams]\nlr_g = inf\n",
+        "[experiment]\nbits = 9\n",
+        "[network]\ninput_dim = 7\n",        # P cannot read the dataset
+        "[network]\nclass_count = 4\n",      # labels out of P's range
     ])
     def test_values_that_crash_mid_run_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_bits_checked_without_the_parser(self):
+        with pytest.raises(ConfigError):
+            replace(default_config(), bits=1)
 
 
 class TestMetricsEmission:
@@ -271,9 +286,11 @@ class TestCli:
         hp = cli.load_config(args).hp
         assert (hp.lambda_l, hp.lambda_u) == (0.85, 0.9)
 
-    def _tiny_ini(self, tmp_path) -> str:
-        path = tmp_path / "cfg.ini"
-        path.write_text(
+    def _tiny_ini(self, tmp_path, extra: str = "") -> str:
+        """A seconds-scale config file; `extra` INI text may add sections
+        or repeat one to override its keys."""
+        cp = configparser.ConfigParser()
+        cp.read_string(
             "[experiment]\n"
             f"out_dir = {tmp_path / 'out'}\n"
             "pretrain_epochs = 3\n"
@@ -283,6 +300,10 @@ class TestCli:
             "[network]\nhidden = 8,8\n"
             "[generator]\nnoise_dim = 5\nhidden = 8,8\n"
             "[hyperparams]\nepochs = 2\niters_per_epoch = 3\n")
+        cp.read_string(extra)
+        path = tmp_path / "cfg.ini"
+        with open(path, "w") as f:
+            cp.write(f)
         return str(path)
 
     def test_train_subcommand(self, tmp_path, capsys):
@@ -309,6 +330,20 @@ class TestCli:
                          "--disable", "L_b"])
         assert code == 0
         assert "disabled=" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+    def test_diverged_pretraining_exits_3(self, tmp_path, capsys):
+        ini = self._tiny_ini(tmp_path, "[experiment]\npretrain_lr = 1e200\n")
+        assert cli.main(["pretrain", "--config", ini]) == cli.EXIT_NUMERICAL
+        assert "numerical abort" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "p.ckpt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+    def test_diverged_game_exits_3_and_keeps_p(self, tmp_path, capsys):
+        ini = self._tiny_ini(tmp_path, "[hyperparams]\nlr_q = 1e200\n")
+        assert cli.main(["train", "--config", ini]) == cli.EXIT_NUMERICAL
+        assert "numerical abort" in capsys.readouterr().err
+        nets.load_checkpoint(tmp_path / "out" / "p.ckpt")
 
     def test_flag_overrides_config(self, tmp_path):
         ini = self._tiny_ini(tmp_path)
