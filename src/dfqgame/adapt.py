@@ -1,13 +1,12 @@
 """Sample-adaptability measurement stack.
 
 Disagreement/agreement distributions over the class axis, batch-normalized
-entropy, the vector-valued adaptability measure, the balance gap of one
-game iteration and its maximization/minimization decomposition, a
-first-order (Lipschitz-style) bound diagnostic, and the pairwise-l1
-similarity matrix.
+entropy, the vector-valued adaptability measure H_C, the game value, and
+the balance gap of one game iteration with its maximization/minimization
+decomposition.
 
 Graph-valued functions take and return engine Tensors so losses stay
-differentiable; report builders and diagnostics work on plain floats.
+differentiable; the balance-gap record holds plain floats.
 """
 
 from __future__ import annotations
@@ -51,20 +50,6 @@ class LogitsPair:
 
 
 @dataclass
-class AdaptabilityReport:
-    """Everything the entropy stack produces for one batch (plain arrays)."""
-
-    p_ds: np.ndarray        # (B, C) disagreement distribution
-    p_as: np.ndarray        # (B, C) agreement distribution
-    h_info: np.ndarray      # (B,) raw entropy of p_ds
-    h_norm: np.ndarray      # (B,) H' in [0, 1]
-    h: np.ndarray           # (B,) H = 1 - H'
-    h_c: np.ndarray         # (B, C) vector measure
-    batch_min: float
-    max_const: float        # ln C
-
-
-@dataclass
 class BalanceGapRecord:
     """Game-value snapshots across one maximization+minimization iteration,
     all evaluated on the same fixed probe batch."""
@@ -75,14 +60,6 @@ class BalanceGapRecord:
     bg: float
     delta_g: float
     delta_q: float
-
-
-@dataclass
-class LipschitzDiagnostic:
-    grad_norm: float        # ||[grad_g R; grad_q R]||_2 at the pre-step point
-    param_step_norm: float  # ||[theta_g^2; theta_q^2] - [theta_g^1; theta_q^1]||_2
-    bound_product: float
-    observed_bg: float      # |BG|
 
 
 def disagreement_distribution(lp: LogitsPair) -> Tensor:
@@ -138,25 +115,6 @@ def game_value(lp: LogitsPair, tau: float = 1.0,
     return 1.0 - h_norm.mean()
 
 
-def compute_report(lp: LogitsPair) -> AdaptabilityReport:
-    p_ds = disagreement_distribution(lp)
-    p_as = agreement_distribution(lp)
-    h_info = info_entropy(p_ds, validate=False)
-    h_norm, batch_min = normalize_entropy(h_info, lp.class_count)
-    h = 1.0 - h_norm
-    h_c = adaptability_vector(p_ds, h)
-    return AdaptabilityReport(
-        p_ds=p_ds.data.copy(),
-        p_as=p_as.data.copy(),
-        h_info=h_info.data.copy(),
-        h_norm=h_norm.data.copy(),
-        h=h.data.copy(),
-        h_c=h_c.data.copy(),
-        batch_min=batch_min,
-        max_const=math.log(lp.class_count),
-    )
-
-
 def balance_gap(r_before: float, r_mid: float, r_after: float) -> BalanceGapRecord:
     """Assemble the record from the three probe evaluations of one
     iteration; bg = delta_g - delta_q holds by construction."""
@@ -166,29 +124,3 @@ def balance_gap(r_before: float, r_mid: float, r_after: float) -> BalanceGapReco
         r_before=r_before, r_mid=r_mid, r_after=r_after,
         bg=r_after - r_before, delta_g=delta_g, delta_q=delta_q,
     )
-
-
-def lipschitz_diagnostic(record: BalanceGapRecord,
-                         grads: list[np.ndarray],
-                         steps: list[np.ndarray]) -> LipschitzDiagnostic:
-    """First-order bound check: |BG| <= ||grad R|| * ||param step|| up to
-    second-order terms. `grads` are the stacked G and Q gradients of the
-    game value at the pre-step parameters; `steps` the parameter deltas."""
-    grad_norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    step_norm = math.sqrt(sum(float((s * s).sum()) for s in steps))
-    return LipschitzDiagnostic(
-        grad_norm=grad_norm,
-        param_step_norm=step_norm,
-        bound_product=grad_norm * step_norm,
-        observed_bg=abs(record.bg),
-    )
-
-
-def similarity_matrix(p_ds: np.ndarray) -> np.ndarray:
-    """Pairwise l1 distances between disagreement distributions."""
-    p_ds = np.asarray(p_ds, dtype=np.float64)
-    if p_ds.ndim != 2 or p_ds.shape[0] < 2:
-        raise ValueError("similarity_matrix: need a (batch >= 2, C) array")
-    diff = np.abs(p_ds[:, None, :] - p_ds[None, :, :]).sum(axis=-1)
-    np.fill_diagonal(diff, 0.0)
-    return diff

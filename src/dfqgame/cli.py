@@ -46,9 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("quantize-eval", "quantize the pretrained network and report accuracy"),
         ("train", "run the full game pipeline"),
         ("ablate", "run the ablation sweep over generator-loss terms"),
-        ("print-config", "print the default configuration"),
     ]:
         _add_common(subs.add_parser(name, help=help_text))
+    # takes no flags: it prints the defaults, which no flag changes
+    subs.add_parser("print-config", help="print the default configuration")
     return parser
 
 

@@ -1,10 +1,9 @@
 """Minimal dense-tensor reverse-mode autodiff engine.
 
-Everything is float64, row-major, CPU-only. Broadcasting is limited to
-what the rest of the package needs: equal shapes, a trailing-axes
-broadcast (e.g. (B, C) op (C,)), keepdims-style (B, 1) factors, and
-scalars. Gradients for broadcast operands are sum-reduced back to the
-operand's shape.
+Everything is float64, row-major, CPU-only. Elementwise binary ops
+follow NumPy broadcasting, and operands that do not broadcast raise
+ShapeMismatchError. Gradients for broadcast operands are sum-reduced back
+to the operand's shape.
 """
 
 from __future__ import annotations
@@ -96,24 +95,18 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     @staticmethod
-    def _check_conform(a: np.ndarray, b: np.ndarray, op: str) -> None:
-        sa, sb = a.shape, b.shape
-        # A shape that ends the other one always broadcasts: equal shapes,
-        # 0-d operands, (B, C) op (C,). When sb is the longer shape the
-        # first slice is too short to equal it, and the second test applies.
-        if sa[len(sa) - len(sb):] == sb or sb[len(sb) - len(sa):] == sa:
-            return
+    def _broadcast(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """ufunc(a, b); shapes NumPy cannot broadcast raise ShapeMismatchError."""
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            return ufunc(a, b)
         except ValueError:
             raise ShapeMismatchError(
-                f"{op}: shapes {a.shape} and {b.shape} do not conform"
+                f"{ufunc.__name__}: shapes {a.shape} and {b.shape} do not conform"
             ) from None
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check_conform(self.data, other.data, "add")
-        out_data = self.data + other.data
+        out_data = self._broadcast(np.add, self.data, other.data)
 
         def backward(out):
             if self.requires_grad:
@@ -134,8 +127,7 @@ class Tensor:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        self._check_conform(self.data, other.data, "sub")
-        out_data = self.data - other.data
+        out_data = self._broadcast(np.subtract, self.data, other.data)
 
         def backward(out):
             if self.requires_grad:
@@ -150,8 +142,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        self._check_conform(self.data, other.data, "mul")
-        out_data = self.data * other.data
+        out_data = self._broadcast(np.multiply, self.data, other.data)
 
         def backward(out):
             if self.requires_grad:
@@ -165,10 +156,9 @@ class Tensor:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        self._check_conform(self.data, other.data, "div")
         if np.any(other.data == 0.0):
             raise ZeroDivisionError("div: divisor tensor contains zero")
-        out_data = self.data / other.data
+        out_data = self._broadcast(np.divide, self.data, other.data)
 
         def backward(out):
             if self.requires_grad:
@@ -210,13 +200,7 @@ class Tensor:
     # -- nonlinearities ----------------------------------------------------
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * mask)
-
-        return self._result(np.where(mask, self.data, 0.0), (self,), backward)
+        return self.clip_min(0.0)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -415,15 +399,15 @@ class BatchNorm:
 
 
 class AdamState:
-    """Adam with bias correction; beta1=0.9 matches the momentum convention."""
+    """Adam with bias correction; BETA1 = 0.9 matches the momentum convention."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -439,11 +423,11 @@ class AdamState:
                 raise ShapeMismatchError(
                     f"adam_step: grad shape {g.shape} != param shape {p.data.shape}"
                 )
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1 ** t)
-            vhat = self.v[i] / (1 - self.beta2 ** t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            mhat = self.m[i] / (1 - self.BETA1 ** t)
+            vhat = self.v[i] / (1 - self.BETA2 ** t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

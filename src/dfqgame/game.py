@@ -32,10 +32,10 @@ from .nets import (
     NumericalError,
     QuantizedMLP,
     accuracy,
+    label_cross_entropy,
     one_hot,
 )
 
-_CE_FLOOR = 1e-12
 PROBE_BATCH = 64
 
 LOSS_NAMES = ("L_ds", "L_as", "L_b", "L_BNS")
@@ -72,6 +72,10 @@ class HyperParams:
         if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr_g, self.lr_q)):
             raise ValueError(f"learning rates must be finite and >= 0, got "
                              f"lr_g={self.lr_g}, lr_q={self.lr_q}")
+        if min(self.epochs, self.iters_per_epoch, self.lr_decay_period) < 0:
+            raise ValueError(
+                f"loop counts must be >= 0, got epochs={self.epochs}, iters_per_epoch="
+                f"{self.iters_per_epoch}, lr_decay_period={self.lr_decay_period}")
         if self.batch_size < 2:
             raise ValueError(
                 f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
@@ -139,14 +143,9 @@ class GameState:
 # -- losses -------------------------------------------------------------------
 
 
-def loss_ds(p_ds: Tensor, y: Tensor) -> Tensor:
-    """Cross-entropy pushing the disagreement (for L_as: the agreement)
-    distribution toward the conditioning label."""
-    logp = p_ds.clip_min(_CE_FLOOR).log()
-    return -(y * logp).sum(axis=-1).mean()
-
-
-loss_as = loss_ds
+# L_ds and L_as: the label cross-entropy of the disagreement and of the
+# agreement distribution, pushing each toward the conditioning label.
+loss_ds = loss_as = label_cross_entropy
 # Q's calibration loss is the game value at temperature tau.
 calibration_loss = game_value
 
@@ -308,7 +307,8 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     """The full alternating loop.
 
     eval_data: optional (x, labels) held-out arrays; Q accuracy is logged
-    every `eval_period` epochs (and on the final iteration).
+    every `eval_period` epochs (and on the final iteration). A
+    NumericalError names the epoch and iteration it was raised in.
     """
     state = init_game(p, q, g, hp, rng)
 
@@ -319,7 +319,10 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
         if epoch > 0 and hp.lr_decay_period > 0 and epoch % hp.lr_decay_period == 0:
             state.opt_q.lr *= hp.lr_decay_factor
         for it in range(hp.iters_per_epoch):
-            log = play_iteration(state, draw(), draw(), epoch, it)
+            try:
+                log = play_iteration(state, draw(), draw(), epoch, it)
+            except NumericalError as e:
+                raise NumericalError(f"epoch {epoch}, iteration {it}: {e}") from None
             last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
             if eval_data is not None and (
                     (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)

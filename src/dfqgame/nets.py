@@ -259,10 +259,13 @@ def one_hot(labels: np.ndarray, class_count: int) -> Tensor:
     return Tensor(out)
 
 
+def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
+    """Mean cross-entropy of probability rows `p`, floored at 1e-12."""
+    return -(y_onehot * p.clip_min(1e-12).log()).sum(axis=-1).mean()
+
+
 def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:
-    p = softmax(logits, axis=-1)
-    logp = p.clip_min(1e-12).log()
-    return -(y_onehot * logp).sum(axis=-1).mean()
+    return label_cross_entropy(softmax(logits, axis=-1), y_onehot)
 
 
 def accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import adapt, game, nets
+from . import game, nets
 from .engine import seeded_rng
 from .nets import GeneratorSpec, NetworkSpec, NumericalError
 from .quant import QuantConfig
@@ -83,6 +83,9 @@ class ExperimentConfig:
                 and d.class_count == n.class_count == g.class_count):
             raise ConfigError("network and generator must match the dataset's "
                               "input_dim and class_count")
+        if self.pretrain_epochs < 0:
+            raise ConfigError(
+                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.pretrain_batch < 2:  # batch norm needs two samples
             raise ConfigError(
                 f"pretrain_batch must be >= 2, got {self.pretrain_batch}")
@@ -220,13 +223,6 @@ def emit_metrics(state: game.GameState, path) -> None:
         ]))
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def emit_similarity(p_ds: np.ndarray, path) -> None:
-    s = adapt.similarity_matrix(p_ds)
-    with open(path, "w", newline="") as f:
-        for row in s:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _quartile_bg(logs, which: str) -> float | None:

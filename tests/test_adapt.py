@@ -1,5 +1,6 @@
 """Tests for the adaptability measurement stack: distributions, entropy
-normalization, game value, balance-gap records, and similarity."""
+normalization, the adaptability vector, game value, and balance-gap
+records."""
 
 import math
 
@@ -7,18 +8,14 @@ import numpy as np
 import pytest
 
 from dfqgame.adapt import (
-    AdaptabilityReport,
     LogitsPair,
     adaptability_vector,
     agreement_distribution,
     balance_gap,
-    compute_report,
     disagreement_distribution,
     game_value,
     info_entropy,
-    lipschitz_diagnostic,
     normalize_entropy,
-    similarity_matrix,
     NORM_EPS,
 )
 from dfqgame.engine import Tensor, seeded_rng
@@ -28,6 +25,15 @@ def random_pair(seed, batch=8, classes=10) -> LogitsPair:
     rng = seeded_rng(seed)
     return LogitsPair(rng.standard_normal((batch, classes)) * 3,
                       rng.standard_normal((batch, classes)) * 3)
+
+
+def entropy_stack(lp: LogitsPair):
+    """disagreement distribution -> entropy -> H' -> H_C as plain arrays:
+    (p_ds, h_norm, h, h_c)."""
+    p_ds = disagreement_distribution(lp)
+    h_norm, _ = normalize_entropy(info_entropy(p_ds), lp.class_count)
+    h = 1.0 - h_norm
+    return p_ds.data, h_norm.data, h.data, adaptability_vector(p_ds, h).data
 
 
 class TestLogitsPair:
@@ -128,18 +134,15 @@ class TestNormalizedEntropy:
 
 class TestAdaptabilityVector:
     def test_rows_have_norm_h(self):
-        lp = random_pair(5)
-        report = compute_report(lp)
-        norms = np.linalg.norm(report.h_c, axis=1)
-        np.testing.assert_allclose(norms, np.abs(report.h), rtol=1e-10)
+        _, _, h, h_c = entropy_stack(random_pair(5))
+        norms = np.linalg.norm(h_c, axis=1)
+        np.testing.assert_allclose(norms, np.abs(h), rtol=1e-10)
 
     def test_direction_matches_distribution(self):
-        lp = random_pair(6)
-        report = compute_report(lp)
-        for i in range(report.p_ds.shape[0]):
-            unit = report.p_ds[i] / np.linalg.norm(report.p_ds[i])
-            np.testing.assert_allclose(report.h_c[i], unit * report.h[i],
-                                       rtol=1e-10)
+        p_ds, _, h, h_c = entropy_stack(random_pair(6))
+        for i in range(p_ds.shape[0]):
+            unit = p_ds[i] / np.linalg.norm(p_ds[i])
+            np.testing.assert_allclose(h_c[i], unit * h[i], rtol=1e-10)
 
     def test_standalone_helper(self):
         p = Tensor(np.array([[0.6, 0.4]]))
@@ -152,16 +155,10 @@ class TestAdaptabilityVector:
 class TestGameValue:
     def test_mean_of_one_minus_h_norm(self):
         lp = random_pair(7)
-        report = compute_report(lp)
+        _, h_norm, h, _ = entropy_stack(lp)
         assert game_value(lp).item() == pytest.approx(
-            float((1.0 - report.h_norm).mean()), rel=1e-12)
-
-    def test_report_fields_consistent(self):
-        report = compute_report(random_pair(8))
-        assert isinstance(report, AdaptabilityReport)
-        np.testing.assert_allclose(report.h, 1.0 - report.h_norm, atol=1e-15)
-        assert report.max_const == pytest.approx(math.log(10))
-        assert report.batch_min == pytest.approx(report.h_info.min())
+            float((1.0 - h_norm).mean()), rel=1e-12)
+        assert game_value(lp).item() == pytest.approx(float(h.mean()), rel=1e-12)
 
     def test_value_in_unit_interval(self):
         for seed in range(10):
@@ -182,37 +179,3 @@ class TestBalanceGap:
     def test_stationary_iteration_gives_zero(self):
         rec = balance_gap(0.4, 0.4, 0.4)
         assert rec.bg == 0.0 and rec.delta_g == 0.0 and rec.delta_q == 0.0
-
-
-class TestLipschitzDiagnostic:
-    def test_norms_are_stacked(self):
-        rec = balance_gap(0.1, 0.25, 0.2)
-        grads = [np.array([3.0]), np.array([4.0])]
-        steps = [np.array([0.1]), np.zeros(1)]
-        diag = lipschitz_diagnostic(rec, grads, steps)
-        assert diag.grad_norm == pytest.approx(5.0)
-        assert diag.param_step_norm == pytest.approx(0.1)
-        assert diag.bound_product == pytest.approx(0.5)
-        assert diag.observed_bg == pytest.approx(abs(rec.bg))
-
-
-class TestSimilarityMatrix:
-    def test_symmetric_zero_diagonal(self):
-        p = disagreement_distribution(random_pair(10, batch=6)).data
-        s = similarity_matrix(p)
-        np.testing.assert_allclose(s, s.T, atol=1e-15)
-        np.testing.assert_array_equal(np.diag(s), np.zeros(6))
-
-    def test_l1_distance_values(self):
-        p = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        s = similarity_matrix(p)
-        assert s[0, 1] == pytest.approx(2.0)
-        assert s[0, 2] == pytest.approx(1.0)
-
-    def test_bounded_by_two(self):
-        p = disagreement_distribution(random_pair(11, batch=12)).data
-        assert similarity_matrix(p).max() <= 2.0 + 1e-12
-
-    def test_needs_batch_of_two(self):
-        with pytest.raises(ValueError):
-            similarity_matrix(np.ones((1, 4)))

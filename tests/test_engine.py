@@ -1,6 +1,8 @@
 """Tests for the autodiff engine: primitives, broadcasting, batch norm,
 optimizers, and the rng helpers."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         bump.flat[i] = h
         g.flat[i] = (f(x + bump) - f(x - bump)) / (2 * h)
     return g
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def check_unary(op, x, f_np, h=1e-6, tol=1e-6):
@@ -73,8 +78,21 @@ class TestArithmetic:
         np.testing.assert_array_equal(a.grad, [-1.0, -1.0])
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeMismatchError):
-            Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
+        for op in BINARY_OPS:
+            with pytest.raises(ShapeMismatchError, match="do not conform"):
+                op(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            with pytest.raises(ShapeMismatchError):  # a trailing axis that differs
+                op(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+    def test_non_suffix_broadcast_works(self):
+        # (3, 1) op (1, 4): neither shape ends the other, NumPy broadcasts
+        x, y = np.arange(1.0, 4.0).reshape(3, 1), np.arange(1.0, 5.0).reshape(1, 4)
+        for op in BINARY_OPS:
+            a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+            out = op(a, b)
+            np.testing.assert_array_equal(out.data, op(x, y))
+            out.sum().backward()
+            assert a.grad.shape == (3, 1) and b.grad.shape == (1, 4)
 
     def test_broadcast_row_vector(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)

@@ -20,7 +20,6 @@ from dfqgame.xp import (
     config_to_text,
     default_config,
     emit_metrics,
-    emit_similarity,
     parse_config,
     run_experiment,
     synth_dataset,
@@ -135,6 +134,10 @@ class TestConfigFiles:
         "[experiment]\nbits = 9\n",
         "[network]\ninput_dim = 7\n",        # P cannot read the dataset
         "[network]\nclass_count = 4\n",      # labels out of P's range
+        "[experiment]\npretrain_epochs = -5\n",  # exits 0 with an untrained P
+        "[hyperparams]\nepochs = -3\n",          # exits 0 with no game
+        "[hyperparams]\niters_per_epoch = -1\n",
+        "[hyperparams]\nlr_decay_period = -1\n",
     ])
     def test_values_that_crash_mid_run_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -177,14 +180,6 @@ class TestMetricsEmission:
         emit_metrics(self._state_with_logs(), a)
         emit_metrics(self._state_with_logs(), b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_similarity_emission(self, tmp_path):
-        p_ds = np.array([[0.5, 0.5], [1.0, 0.0]])
-        path = tmp_path / "sim.csv"
-        emit_similarity(p_ds, path)
-        rows = [r.split(",") for r in path.read_text().splitlines()]
-        assert float(rows[0][1]) == pytest.approx(1.0)
-        assert float(rows[1][1]) == 0.0
 
 
 class TestRunExperiment:
@@ -258,6 +253,15 @@ class TestCli:
         assert cli.main(["print-config"]) == 0
         out = capsys.readouterr().out
         assert parse_config(out) == default_config()
+
+    @pytest.mark.parametrize("flags", [["--bits", "99"], ["--disable", "bogus"],
+                                       ["--seed", "1"]])
+    def test_print_config_rejects_flags(self, flags, capsys):
+        # it prints the defaults, so a flag would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["print-config", *flags])
+        assert exc.value.code == 2  # argparse's usage error
+        assert capsys.readouterr().out == ""
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -342,7 +346,8 @@ class TestCli:
     def test_diverged_game_exits_3_and_keeps_p(self, tmp_path, capsys):
         ini = self._tiny_ini(tmp_path, "[hyperparams]\nlr_q = 1e200\n")
         assert cli.main(["train", "--config", ini]) == cli.EXIT_NUMERICAL
-        assert "numerical abort" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical abort: epoch 0, iteration 1: " in err
         nets.load_checkpoint(tmp_path / "out" / "p.ckpt")
 
     def test_flag_overrides_config(self, tmp_path):
