@@ -423,11 +423,23 @@ class AdamState:
                 raise ShapeMismatchError(
                     f"adam_step: grad shape {g.shape} != param shape {p.data.shape}"
                 )
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            mhat = self.m[i] / (1 - self.BETA1 ** t)
-            vhat = self.v[i] / (1 - self.BETA2 ** t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            # In place, with the operations and their order of
+            # m = B1*m + (1-B1)*g; v = B2*v + (1-B2)*g*g;
+            # p -= lr*mhat / (sqrt(vhat) + eps), so the bits are the same.
+            m, v = self.m[i], self.v[i]
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            g2 = (1 - self.BETA2) * g
+            g2 *= g
+            v += g2
+            mhat = m / (1 - self.BETA1 ** t)
+            denom = v / (1 - self.BETA2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            mhat *= self.lr
+            mhat /= denom
+            p.data -= mhat
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -451,17 +463,23 @@ class SgdNesterovState:
         mu = self.momentum
         for i, p in enumerate(self.params):
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
+            if g is not None and g.shape != p.data.shape:
                 raise ShapeMismatchError(
                     f"sgd_nesterov_step: grad shape {g.shape} != param shape {p.data.shape}"
                 )
-            d = g + self.weight_decay * p.data
+            # In place, with the operations and their order of
+            # d = g + wd*p; vel = mu*vel + d; d = d + mu*vel; p -= lr*d.
+            # A missing gradient is a zero one: adding 0.0 maps -0.0 to
+            # +0.0 exactly as adding a zeros array does.
+            d = self.weight_decay * p.data
+            d += 0.0 if g is None else g
             if mu != 0.0:
-                self.velocity[i] = mu * self.velocity[i] + d
-                d = d + mu * self.velocity[i]
-            p.data -= self.lr * d
+                vel = self.velocity[i]
+                vel *= mu
+                vel += d
+                d += mu * vel
+            d *= self.lr
+            p.data -= d
 
     def zero_grad(self) -> None:
         for p in self.params:

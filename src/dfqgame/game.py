@@ -34,6 +34,7 @@ from .nets import (
     accuracy,
     label_cross_entropy,
     one_hot,
+    unchanged,
 )
 
 PROBE_BATCH = 64
@@ -72,6 +73,9 @@ class HyperParams:
         if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr_g, self.lr_q)):
             raise ValueError(f"learning rates must be finite and >= 0, got "
                              f"lr_g={self.lr_g}, lr_q={self.lr_q}")
+        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor >= 0.0):
+            raise ValueError(f"lr_decay_factor must be finite and >= 0, got "
+                             f"{self.lr_decay_factor}")
         if min(self.epochs, self.iters_per_epoch, self.lr_decay_period) < 0:
             raise ValueError(
                 f"loop counts must be >= 0, got epochs={self.epochs}, iters_per_epoch="
@@ -109,6 +113,21 @@ class IterationLog:
 
 
 @dataclass
+class ProbeMemo:
+    """What the last probe read and computed: copies of the arrays each
+    player's forward reads (G: its parameters and the probe batch; P and
+    Q: parameters and BN running statistics), and the last x, z_p and R.
+    Q's bit width is not kept: it is fixed when Q is built."""
+
+    g: list | None = None
+    p: list | None = None
+    q: list | None = None
+    x: Tensor | None = None
+    z_p: Tensor | None = None
+    r: float | None = None
+
+
+@dataclass
 class GameState:
     p: MLP
     q: QuantizedMLP
@@ -119,6 +138,7 @@ class GameState:
     probe_z: Tensor
     probe_y: Tensor
     logs: list[IterationLog] = field(default_factory=list)
+    probe_memo: ProbeMemo = field(default_factory=ProbeMemo)
 
     def snapshot(self):
         """Copies of everything an iteration writes: G's and Q's arrays
@@ -226,14 +246,39 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
 
 
 def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
-                     probe_z: Tensor, probe_y: Tensor) -> float:
+                     probe_z: Tensor, probe_y: Tensor,
+                     memo: ProbeMemo | None = None) -> float:
     """R on the fixed probe batch as a pure function of (theta_g, theta_q):
     G uses batch statistics without touching its running buffers, P and Q
-    run in eval mode. Nothing is differentiated, so no graph is built."""
+    run in eval mode. Nothing is differentiated, so no graph is built.
+
+    `memo` holds what the last call read and computed: while G and P are
+    unchanged (compared by value) their forwards are skipped, and while
+    all three are, the stored R is returned. Without a memo every
+    forward runs.
+    """
+    memo = ProbeMemo() if memo is None else memo
+    g_reads = [t.data for t in g.parameters()] + [probe_z.data, probe_y.data]
+    p_reads = [a for _, a in p.named_arrays()]
+    q_reads = [a for _, a in q.named_arrays()]
+    gp_same = unchanged(memo.g, g_reads) and unchanged(memo.p, p_reads)
+    # a new x needs Q's forward whatever Q is, so Q is compared only on an old x
+    if gp_same and unchanged(memo.q, q_reads):
+        return memo.r
     with frozen(g.parameters() + p.parameters() + q.parameters()):
-        x = g.forward(probe_z, probe_y, mode="batch")
-        lp = _logits_pair(p.forward(x, mode="eval"), q.forward(x, mode="eval"))
-        return game_value(lp).item()
+        x, z_p = memo.x, memo.z_p
+        if not gp_same:
+            x = g.forward(probe_z, probe_y, mode="batch")
+            z_p = p.forward(x, mode="eval")
+        r = game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item()
+    # stored only once R is computed, so a raising forward keeps no stale key
+    if not gp_same:
+        memo.g = [a.copy() for a in g_reads]
+        memo.p = [a.copy() for a in p_reads]
+        memo.x, memo.z_p = x, z_p
+    memo.q = [a.copy() for a in q_reads]
+    memo.r = r
+    return r
 
 
 # -- steps ------------------------------------------------------------------
@@ -249,9 +294,9 @@ def maximization_step(state: GameState, z: Tensor, y: Tensor) -> dict:
     """One Adam step on the generator; Q is held bit-identical."""
     with frozen(state.q.parameters()):
         l_g, components = generator_loss(state.g, state.p, state.q, z, y, state.hp)
-        state.opt_g.zero_grad()
         l_g.backward()
         state.opt_g.step()
+        state.opt_g.zero_grad()  # spent; no gradient is kept between steps
     components["l_g"] = l_g.item()
     return components
 
@@ -266,9 +311,9 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
     l_q = game_value(_logits_pair(z_p, z_q), state.hp.tau)
     if not math.isfinite(l_q.item()):
         raise NumericalError(f"non-finite calibration loss: {l_q.item()}")
-    state.opt_q.zero_grad()
     l_q.backward()
     state.opt_q.step()
+    state.opt_q.zero_grad()  # spent; no gradient is kept between steps
     return l_q.item()
 
 
@@ -292,12 +337,13 @@ def play_iteration(state: GameState, max_batch, min_batch,
                    epoch: int = 0, iteration: int = 0) -> IterationLog:
     """One maximization step on `max_batch`, then one minimization step on
     `min_batch`, with the game value probed before, between and after."""
-    g, p, q = state.g, state.p, state.q
-    r_before = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
+             state.probe_memo)
+    r_before = probe_game_value(*probe)
     components = maximization_step(state, *max_batch)
-    r_mid = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    r_mid = probe_game_value(*probe)
     l_q = minimization_step(state, *min_batch)
-    r_after = probe_game_value(g, p, q, state.probe_z, state.probe_y)
+    r_after = probe_game_value(*probe)
     return IterationLog(epoch=epoch, iteration=iteration, l_q=l_q,
                         bg=balance_gap(r_before, r_mid, r_after), **components)
 

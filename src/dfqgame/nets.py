@@ -74,6 +74,16 @@ class BNStatsRecord:
     var_stored: list      # list[np.ndarray]
 
 
+def unchanged(kept, arrays) -> bool:
+    """Whether `kept`, copies taken earlier (None before the first), still
+    equal `arrays` value by value. Arrays are written in place (optimizer
+    steps, `GameState.restore`, checkpoint loads, finite-difference
+    probes), so neither identity nor a step count can tell that an array
+    is unchanged; only its values can."""
+    return (kept is not None and len(kept) == len(arrays)
+            and all(map(np.array_equal, kept, arrays)))
+
+
 class Affine:
     def __init__(self, in_dim: int, out_dim: int, rng=None):
         if rng is None:
@@ -174,8 +184,8 @@ class QuantizedMLP(_BlockStack):
     def __init__(self, spec: NetworkSpec, cfg: QuantConfig | None, rng=None):
         super().__init__(spec, spec.input_dim, spec.class_count, rng)
         self.cfg = cfg
-        # per weight, in forward order: (bits, copy of the array last
-        # quantized, its fake-quantized result), or None before the first
+        # per weight, in forward order: (bits, [copy of the array last
+        # quantized], its fake-quantized result), or None before the first
         self._weight_cache: list = [None] * (len(self.blocks) + 1)
 
     def _fq(self, t: Tensor) -> Tensor:
@@ -186,23 +196,20 @@ class QuantizedMLP(_BlockStack):
     def _fq_weight(self, slot: int, w: Tensor) -> Tensor:
         """fake_quantize(w), reusing the last result while w is unchanged.
 
-        Weights are written in place (optimizer steps, checkpoint loads,
-        finite-difference probes), so only a comparison of values can
-        tell that a weight is unchanged.
+        See `unchanged` for why the weight is compared by value.
         """
         if self.cfg is None:
             return w
         bits = self.cfg.bits
         cached = self._weight_cache[slot]
-        if (cached is not None and cached[0] == bits
-                and np.array_equal(cached[1], w.data)):
+        if cached is not None and cached[0] == bits and unchanged(cached[1], [w.data]):
             def backward(node):  # straight-through, as in fake_quantize
                 w._accumulate(node.grad)
 
             return Tensor._result(cached[2], (w,), backward)
         out = fake_quantize(w, bits)
         out.data.flags.writeable = False  # shared by every later hit
-        self._weight_cache[slot] = (bits, w.data.copy(), out.data)
+        self._weight_cache[slot] = (bits, [w.data.copy()], out.data)
         return out
 
     def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
@@ -301,9 +308,9 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss.item()):
                 raise NumericalError(f"non-finite pretraining loss: {loss.item()}")
-            opt.zero_grad()
             loss.backward()
             opt.step()
+            opt.zero_grad()  # spent; no gradient is kept between steps
     bad = [name for name, a in p.named_arrays() if not np.isfinite(a).all()]
     if bad:
         raise NumericalError(f"pretraining diverged: non-finite {bad}")

@@ -384,6 +384,93 @@ class TestOptimizers:
         w.grad = np.zeros(3)
         with pytest.raises(ShapeMismatchError):
             AdamState([w]).step()
+        with pytest.raises(ShapeMismatchError):
+            SgdNesterovState([w], lr=0.1).step()
+
+
+def reference_adam_step(data, m, v, grads, t, lr):
+    """AdamState.step written out of place: the reference for its bits."""
+    b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
+    for i, g in enumerate(grads):
+        if g is None:
+            continue
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        mhat = m[i] / (1 - b1 ** t)
+        vhat = v[i] / (1 - b2 ** t)
+        data[i] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def reference_nesterov_step(data, velocity, grads, lr, mu, weight_decay):
+    """SgdNesterovState.step written out of place: the reference for its bits."""
+    for i, g in enumerate(grads):
+        if g is None:
+            g = np.zeros_like(data[i])
+        d = g + weight_decay * data[i]
+        if mu != 0.0:
+            velocity[i] = mu * velocity[i] + d
+            d = d + mu * velocity[i]
+        data[i] -= lr * d
+
+
+class TestOptimizersMatchReference:
+    """The in-place updates give bitwise the values of the out-of-place
+    expressions, over several steps and with a missing gradient."""
+
+    STEPS = 6
+
+    @staticmethod
+    def _params():
+        rng = seeded_rng(5)
+        a = rng.standard_normal((40, 30))
+        a[0, :5] = -0.0  # a signed zero, where a missing gradient meets it
+        return [Tensor(a, requires_grad=True),
+                Tensor(rng.standard_normal(30), requires_grad=True)]
+
+    @staticmethod
+    def _grads(rng, params, step):
+        grads = [rng.standard_normal(t.shape) for t in params]
+        if step in (0, 3):
+            grads[0] = None
+        return grads
+
+    @staticmethod
+    def _assert_bitwise(arrays, expected):
+        assert [a.tobytes() for a in arrays] == [e.tobytes() for e in expected]
+
+    def test_adam(self):
+        params = self._params()
+        opt = AdamState(params, lr=0.01)
+        data = [t.data.copy() for t in params]
+        m = [np.zeros_like(d) for d in data]
+        v = [np.zeros_like(d) for d in data]
+        rng = seeded_rng(6)
+        for step in range(self.STEPS):
+            grads = self._grads(rng, params, step)
+            for t, g in zip(params, grads):
+                t.grad = g
+            opt.step()
+            reference_adam_step(data, m, v, grads, step + 1, 0.01)
+            self._assert_bitwise([t.data for t in params], data)
+            self._assert_bitwise(opt.m + opt.v, m + v)
+
+    @pytest.mark.parametrize("mu, weight_decay",
+                             [(0.9, 1e-4), (0.0, 1e-4), (0.9, 0.0), (0.0, 0.0)])
+    def test_nesterov(self, mu, weight_decay):
+        params = self._params()
+        opt = SgdNesterovState(params, lr=0.05, momentum=mu,
+                               weight_decay=weight_decay)
+        data = [t.data.copy() for t in params]
+        velocity = [np.zeros_like(d) for d in data]
+        rng = seeded_rng(7)
+        for step in range(self.STEPS):
+            grads = self._grads(rng, params, step)
+            for t, g in zip(params, grads):
+                t.grad = g
+            opt.step()
+            reference_nesterov_step(data, velocity, grads, 0.05, mu, weight_decay)
+            self._assert_bitwise([t.data for t in params], data)
+            self._assert_bitwise(opt.velocity, velocity)
 
 
 class TestRng:

@@ -1,6 +1,8 @@
 """Tests for the loss family and the alternating min-max loop."""
 
+import copy
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -251,6 +253,27 @@ class TestSteps:
         assert not any(t.requires_grad for t in p.parameters())
 
 
+class TestSpentGradients:
+    """No gradient outlives the optimizer step that used it."""
+
+    def test_pretrain_p_releases_p_gradients(self):
+        spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=20)
+        tx, ty, sx, sy = xp.synth_dataset(spec, 0)
+        p = build_p(SMALL, seeded_rng(3))
+        pretrain_p(p, tx, ty, sx, sy, epochs=1, rng=seeded_rng(4))
+        assert all(t.grad is None for t in p.parameters())
+
+    def test_steps_release_their_players_gradients(self, trained_setup):
+        p, _ = trained_setup
+        q, g = fresh_players(p)
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        z, y = draw_batch(seeded_rng(1), 8, 5, 4)
+        maximization_step(state, z, y)
+        assert all(t.grad is None for t in g.parameters())
+        minimization_step(state, z, y)
+        assert all(t.grad is None for t in q.parameters())
+
+
 class TestRequiresGradFlags:
     """Forwards run frozen, then every flag is put back as it was."""
 
@@ -361,6 +384,86 @@ class TestProbe:
         nets.accuracy(q, eval_data[0], eval_data[1])
         v2 = probe_game_value(g, p, q, state.probe_z, state.probe_y)
         assert v1 == v2
+
+
+def _bump(array):
+    """An in-place write that moves every entry."""
+    array *= 1.5
+    array += 0.25
+
+
+# In-place writes to each array the probe reads; each one moves R, so a
+# memo that misses it returns a stale value.
+PROBE_WRITES = {
+    "g_parameter": lambda s: _bump(s.g.blocks[0][0].weight.data),
+    "p_parameter": lambda s: _bump(s.p.head.weight.data),
+    "p_running_stat": lambda s: _bump(s.p.blocks[0][1].running_var),
+    "q_running_stat": lambda s: _bump(s.q.blocks[1][1].running_mean),
+    "q_parameter": lambda s: _bump(s.q.head.weight.data),
+    "probe_z": lambda s: _bump(s.probe_z.data),
+}
+
+
+class TestProbeMemo:
+    """A probe with the state's memo returns bitwise what a fresh probe
+    returns, and runs no forward whose inputs are unchanged."""
+
+    @staticmethod
+    def _state(p):
+        p = copy.deepcopy(p)  # the writes below must not reach the fixture
+        q, g = fresh_players(p)
+        return init_game(p, q, g, HyperParams(), seeded_rng(0))
+
+    @staticmethod
+    def _probe(state, memo=None):
+        return probe_game_value(state.g, state.p, state.q, state.probe_z,
+                                state.probe_y, memo)
+
+    @pytest.mark.parametrize("write", sorted(PROBE_WRITES))
+    def test_in_place_write_is_seen(self, trained_setup, write):
+        state = self._state(trained_setup[0])
+        before = self._probe(state, state.probe_memo)
+        PROBE_WRITES[write](state)
+        fresh = self._probe(state)
+        assert fresh != before
+        assert self._probe(state, state.probe_memo) == fresh
+
+    def test_restore_is_seen(self, trained_setup):
+        state = self._state(trained_setup[0])
+        snap = state.snapshot()
+        before = self._probe(state, state.probe_memo)
+        rng = seeded_rng(1)
+        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
+        assert self._probe(state, state.probe_memo) != before
+        state.restore(snap)
+        assert self._probe(state, state.probe_memo) == self._probe(state) == before
+
+    def test_forwards_run_only_for_changed_players(self, trained_setup, monkeypatch):
+        state = self._state(trained_setup[0])
+        calls = []
+        for cls in (nets.Generator, nets.MLP, nets.QuantizedMLP):
+            def counted(net, *args, _forward=cls.forward, **kwargs):
+                calls.append(type(net).__name__)
+                return _forward(net, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", counted)
+
+        r = self._probe(state, state.probe_memo)
+        assert calls == ["Generator", "MLP", "QuantizedMLP"]
+        calls.clear()
+        assert self._probe(state, state.probe_memo) == r
+        assert calls == []
+        _bump(state.q.head.bias.data)
+        self._probe(state, state.probe_memo)
+        assert calls == ["QuantizedMLP"]
+
+        # From the second iteration on, the first probe repeats the last
+        # one and the third shares G and P with the second: G and P run
+        # in the two steps and the second probe, Q also in the third.
+        rng = seeded_rng(1)
+        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
+        calls.clear()
+        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
+        assert Counter(calls) == {"Generator": 3, "MLP": 3, "QuantizedMLP": 4}
 
 
 class TestAblation:

@@ -138,6 +138,9 @@ class TestConfigFiles:
         "[hyperparams]\nepochs = -3\n",          # exits 0 with no game
         "[hyperparams]\niters_per_epoch = -1\n",
         "[hyperparams]\nlr_decay_period = -1\n",
+        "[hyperparams]\nlr_decay_factor = -1\n",  # Q climbs its loss after a decay
+        "[hyperparams]\nlr_decay_factor = nan\n",
+        "[hyperparams]\nlr_decay_factor = inf\n",
     ])
     def test_values_that_crash_mid_run_rejected(self, text):
         with pytest.raises(ConfigError):
