@@ -79,7 +79,6 @@ def load_config(args) -> xp.ExperimentConfig:
 
 
 def cmd_pretrain(cfg: xp.ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     p, _, acc = xp.pretrain(cfg)
     nets.save_checkpoint(p, os.path.join(cfg.out_dir, "p.ckpt"))
     print(f"P held-out accuracy: {acc:.4f}")
@@ -120,7 +119,9 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(args)
-    except ConfigError as e:
+        if args.command != "quantize-eval":  # the commands that write files
+            os.makedirs(cfg.out_dir, exist_ok=True)
+    except (ConfigError, OSError) as e:  # OSError: out_dir cannot be made
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

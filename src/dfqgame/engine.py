@@ -423,6 +423,7 @@ class AdamState:
                 raise ShapeMismatchError(
                     f"adam_step: grad shape {g.shape} != param shape {p.data.shape}"
                 )
+            p.grad = None  # spent; no gradient outlives its step
             # In place, with the operations and their order of
             # m = B1*m + (1-B1)*g; v = B2*v + (1-B2)*g*g;
             # p -= lr*mhat / (sqrt(vhat) + eps), so the bits are the same.
@@ -440,10 +441,6 @@ class AdamState:
             mhat *= self.lr
             mhat /= denom
             p.data -= mhat
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
 
 class SgdNesterovState:
@@ -467,6 +464,7 @@ class SgdNesterovState:
                 raise ShapeMismatchError(
                     f"sgd_nesterov_step: grad shape {g.shape} != param shape {p.data.shape}"
                 )
+            p.grad = None  # spent; no gradient outlives its step
             # In place, with the operations and their order of
             # d = g + wd*p; vel = mu*vel + d; d = d + mu*vel; p -= lr*d.
             # A missing gradient is a zero one: adding 0.0 maps -0.0 to
@@ -480,10 +478,6 @@ class SgdNesterovState:
                 d += mu * vel
             d *= self.lr
             p.data -= d
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
 
 # -- rng ---------------------------------------------------------------------

@@ -29,12 +29,12 @@ from .nets import (
     BNStatsRecord,
     Generator,
     MLP,
+    Memo,
     NumericalError,
     QuantizedMLP,
     accuracy,
     label_cross_entropy,
     one_hot,
-    unchanged,
 )
 
 PROBE_BATCH = 64
@@ -114,17 +114,13 @@ class IterationLog:
 
 @dataclass
 class ProbeMemo:
-    """What the last probe read and computed: copies of the arrays each
-    player's forward reads (G: its parameters and the probe batch; P and
-    Q: parameters and BN running statistics), and the last x, z_p and R.
-    Q's bit width is not kept: it is fixed when Q is built."""
+    """The probe's two memos: G's and P's forwards (x, z_p), keyed by G's
+    parameters, the probe batch and P's arrays (parameters and BN running
+    statistics); and R, keyed by x, z_p and Q's arrays. Q's bit width is
+    not a key: it is fixed when Q is built."""
 
-    g: list | None = None
-    p: list | None = None
-    q: list | None = None
-    x: Tensor | None = None
-    z_p: Tensor | None = None
-    r: float | None = None
+    xz: Memo = field(default_factory=Memo)
+    r: Memo = field(default_factory=Memo)
 
 
 @dataclass
@@ -139,25 +135,6 @@ class GameState:
     probe_y: Tensor
     logs: list[IterationLog] = field(default_factory=list)
     probe_memo: ProbeMemo = field(default_factory=ProbeMemo)
-
-    def snapshot(self):
-        """Copies of everything an iteration writes: G's and Q's arrays
-        (parameters and BN running statistics) and both optimizers'
-        moments and step counts."""
-        return copy.deepcopy((
-            self.g.named_arrays() + self.q.named_arrays(),
-            self.opt_g.m, self.opt_g.v, self.opt_g.step_count,
-            self.opt_q.velocity, self.opt_q.step_count))
-
-    def restore(self, snap) -> None:
-        """Return to a snapshot(). Arrays are written in place, so every
-        reference to a parameter stays valid."""
-        arrays, *opt_state = copy.deepcopy(snap)
-        for (_, dst), (_, src) in zip(self.g.named_arrays()
-                                      + self.q.named_arrays(), arrays):
-            dst[...] = src
-        (self.opt_g.m, self.opt_g.v, self.opt_g.step_count,
-         self.opt_q.velocity, self.opt_q.step_count) = opt_state
 
 
 # -- losses -------------------------------------------------------------------
@@ -252,33 +229,22 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
     G uses batch statistics without touching its running buffers, P and Q
     run in eval mode. Nothing is differentiated, so no graph is built.
 
-    `memo` holds what the last call read and computed: while G and P are
-    unchanged (compared by value) their forwards are skipped, and while
-    all three are, the stored R is returned. Without a memo every
-    forward runs.
+    `memo` skips each forward whose inputs hold the values it saw last
+    (see ProbeMemo); without a memo every forward runs.
     """
     memo = ProbeMemo() if memo is None else memo
-    g_reads = [t.data for t in g.parameters()] + [probe_z.data, probe_y.data]
-    p_reads = [a for _, a in p.named_arrays()]
-    q_reads = [a for _, a in q.named_arrays()]
-    gp_same = unchanged(memo.g, g_reads) and unchanged(memo.p, p_reads)
-    # a new x needs Q's forward whatever Q is, so Q is compared only on an old x
-    if gp_same and unchanged(memo.q, q_reads):
-        return memo.r
+
+    def xz():
+        x = g.forward(probe_z, probe_y, mode="batch")
+        return x, p.forward(x, mode="eval")
+
     with frozen(g.parameters() + p.parameters() + q.parameters()):
-        x, z_p = memo.x, memo.z_p
-        if not gp_same:
-            x = g.forward(probe_z, probe_y, mode="batch")
-            z_p = p.forward(x, mode="eval")
-        r = game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item()
-    # stored only once R is computed, so a raising forward keeps no stale key
-    if not gp_same:
-        memo.g = [a.copy() for a in g_reads]
-        memo.p = [a.copy() for a in p_reads]
-        memo.x, memo.z_p = x, z_p
-    memo.q = [a.copy() for a in q_reads]
-    memo.r = r
-    return r
+        x, z_p = memo.xz.get(
+            [t.data for t in g.parameters()] + [probe_z.data, probe_y.data]
+            + [a for _, a in p.named_arrays()], xz)
+        return memo.r.get(
+            [x.data, z_p.data] + [a for _, a in q.named_arrays()],
+            lambda: game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item())
 
 
 # -- steps ------------------------------------------------------------------
@@ -296,7 +262,6 @@ def maximization_step(state: GameState, z: Tensor, y: Tensor) -> dict:
         l_g, components = generator_loss(state.g, state.p, state.q, z, y, state.hp)
         l_g.backward()
         state.opt_g.step()
-        state.opt_g.zero_grad()  # spent; no gradient is kept between steps
     components["l_g"] = l_g.item()
     return components
 
@@ -313,7 +278,6 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
         raise NumericalError(f"non-finite calibration loss: {l_q.item()}")
     l_q.backward()
     state.opt_q.step()
-    state.opt_q.zero_grad()  # spent; no gradient is kept between steps
     return l_q.item()
 
 
@@ -402,21 +366,13 @@ def bg_halving_trial(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
     halved; record both balance gaps. Training continues from the full-step
     state, so each pair is a controlled comparison."""
     state = init_game(p, q, g, hp, rng)
-    half_hp = replace(hp, lr_g=hp.lr_g / 2, lr_q=hp.lr_q / 2)
     pairs = []
     for _ in range(iterations):
         batches = [draw_batch(rng, hp.batch_size, g.spec.noise_dim,
                               g.spec.class_count) for _ in range(2)]
-
-        def one_iteration(hp_used):
-            state.hp = hp_used
-            state.opt_g.lr = hp_used.lr_g
-            state.opt_q.lr = hp_used.lr_q
-            return play_iteration(state, *batches).bg
-
-        snap = state.snapshot()
-        bg_half = one_iteration(half_hp)
-        state.restore(snap)
-        pairs.append((one_iteration(hp), bg_half))
-    state.hp = hp
+        half = copy.deepcopy(state)  # the detour writes only into its copy
+        half.opt_g.lr /= 2
+        half.opt_q.lr /= 2
+        bg_half = play_iteration(half, *batches).bg
+        pairs.append((play_iteration(state, *batches).bg, bg_half))
     return pairs

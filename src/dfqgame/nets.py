@@ -74,14 +74,25 @@ class BNStatsRecord:
     var_stored: list      # list[np.ndarray]
 
 
-def unchanged(kept, arrays) -> bool:
-    """Whether `kept`, copies taken earlier (None before the first), still
-    equal `arrays` value by value. Arrays are written in place (optimizer
-    steps, `GameState.restore`, checkpoint loads, finite-difference
-    probes), so neither identity nor a step count can tell that an array
-    is unchanged; only its values can."""
-    return (kept is not None and len(kept) == len(arrays)
-            and all(map(np.array_equal, kept, arrays)))
+class Memo:
+    """The value last computed from some arrays, kept while they hold the
+    same values. Arrays are written in place (optimizer steps, checkpoint
+    loads, finite-difference probes), so neither identity nor a step count
+    can tell that an array is unchanged; only its values can."""
+
+    def __init__(self):
+        self._key = None  # copies of the arrays last computed from
+        self._value = None
+
+    def get(self, arrays, compute):
+        """The kept value while `arrays` equal the kept copies, else
+        `compute()`, kept with copies of `arrays`. A raising `compute`
+        keeps the old key and value."""
+        if not (self._key is not None and len(self._key) == len(arrays)
+                and all(map(np.array_equal, self._key, arrays))):
+            self._value = compute()
+            self._key = [a.copy() for a in arrays]
+        return self._value
 
 
 class Affine:
@@ -184,9 +195,8 @@ class QuantizedMLP(_BlockStack):
     def __init__(self, spec: NetworkSpec, cfg: QuantConfig | None, rng=None):
         super().__init__(spec, spec.input_dim, spec.class_count, rng)
         self.cfg = cfg
-        # per weight, in forward order: (bits, [copy of the array last
-        # quantized], its fake-quantized result), or None before the first
-        self._weight_cache: list = [None] * (len(self.blocks) + 1)
+        # one per weight, in forward order; the bit width is fixed here
+        self._weight_memos = [Memo() for _ in range(len(self.blocks) + 1)]
 
     def _fq(self, t: Tensor) -> Tensor:
         if self.cfg is None:
@@ -194,23 +204,21 @@ class QuantizedMLP(_BlockStack):
         return fake_quantize(t, self.cfg.bits)
 
     def _fq_weight(self, slot: int, w: Tensor) -> Tensor:
-        """fake_quantize(w), reusing the last result while w is unchanged.
-
-        See `unchanged` for why the weight is compared by value.
-        """
+        """fake_quantize(w), re-quantized only when w's values change."""
         if self.cfg is None:
             return w
-        bits = self.cfg.bits
-        cached = self._weight_cache[slot]
-        if cached is not None and cached[0] == bits and unchanged(cached[1], [w.data]):
-            def backward(node):  # straight-through, as in fake_quantize
-                w._accumulate(node.grad)
 
-            return Tensor._result(cached[2], (w,), backward)
-        out = fake_quantize(w, bits)
-        out.data.flags.writeable = False  # shared by every later hit
-        self._weight_cache[slot] = (bits, [w.data.copy()], out.data)
-        return out
+        def quantize():  # no graph: the node below is built on every call
+            with frozen([w]):
+                out = fake_quantize(w, self.cfg.bits).data
+            out.flags.writeable = False  # shared by every later hit
+            return out
+
+        def backward(node):  # straight-through, as in fake_quantize
+            w._accumulate(node.grad)
+
+        return Tensor._result(self._weight_memos[slot].get([w.data], quantize),
+                              (w,), backward)
 
     def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
         return self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
@@ -310,7 +318,6 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
                 raise NumericalError(f"non-finite pretraining loss: {loss.item()}")
             loss.backward()
             opt.step()
-            opt.zero_grad()  # spent; no gradient is kept between steps
     bad = [name for name, a in p.named_arrays() if not np.isfinite(a).all()]
     if bad:
         raise NumericalError(f"pretraining diverged: non-finite {bad}")
@@ -375,8 +382,8 @@ def save_checkpoint(net, path) -> None:
             f.write(a.astype("<f8").tobytes())
 
 
-def _empty_net(header: dict):
-    """The network a header describes, before its arrays are read."""
+def _spec(header: dict):
+    """The network class and the validated spec a header describes."""
     if set(header) != _HEADER_KEYS:
         raise CheckpointError(f"header keys {sorted(header)} != {sorted(_HEADER_KEYS)}")
     if header["kind"] not in _KINDS:
@@ -386,11 +393,18 @@ def _empty_net(header: dict):
     expected = {f.name for f in fields(spec_cls)}
     if set(spec) != expected:
         raise CheckpointError(f"spec keys {sorted(spec)} != {sorted(expected)}")
-    spec = spec_cls(**{**spec, "hidden": tuple(spec["hidden"])})
-    if cls is QuantizedMLP:
-        bits = header["quant_bits"]
-        return cls(spec, None if bits is None else QuantConfig(bits=bits))
-    return cls(spec)
+    return cls, spec_cls(**{**spec, "hidden": tuple(spec["hidden"])})
+
+
+def _value_count(cls, spec) -> int:
+    """How many float64 values the arrays of a `cls` network hold: per
+    block a weight and five width-sized vectors (bias, gamma, beta and the
+    running statistics), then the head, and G's label embedding."""
+    gen = cls is Generator
+    dims = (spec.noise_dim if gen else spec.input_dim, *spec.hidden,
+            spec.output_dim if gen else spec.class_count)
+    count = sum(a * b for a, b in zip(dims, dims[1:])) + 5 * sum(spec.hidden)
+    return count + dims[-1] + (spec.class_count * spec.noise_dim if gen else 0)
 
 
 def load_checkpoint(path):
@@ -408,7 +422,14 @@ def load_checkpoint(path):
         raise CheckpointError("truncated header")
     try:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-        net = _empty_net(header)
+        cls, spec = _spec(header)
+        if _value_count(cls, spec) > (len(raw) - 16 - hlen) // 8:
+            raise CheckpointError("header describes more values than the file holds")
+        if cls is QuantizedMLP:
+            bits = header["quant_bits"]
+            net = cls(spec, None if bits is None else QuantConfig(bits=bits))
+        else:
+            net = cls(spec)
         entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt header: {e}") from None

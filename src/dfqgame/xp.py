@@ -74,6 +74,8 @@ class ExperimentConfig:
     hp: game.HyperParams = field(default_factory=game.HyperParams)
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.SeedSequence takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_period < 1:
             raise ConfigError(f"eval_period must be >= 1, got {self.eval_period}")
         if not 2 <= self.bits <= 8:

@@ -414,6 +414,7 @@ def desk_scale_runs(tmp_path_factory):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_recovery(capsys, desk_scale_runs):
     full = [s for _, s in desk_scale_runs["full"]]
     base = [s for _, s in desk_scale_runs["baseline"]]
@@ -442,6 +443,7 @@ def test_criterion_6_end_to_end_recovery(capsys, desk_scale_runs):
             f"5-bit gap {gap5:.3f}, slowest seed {slowest:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_stationarity_trend(capsys, desk_scale_runs):
     bg_first, bg_last, lb_first, lb_last = [], [], [], []
     for out_dir, _ in desk_scale_runs["full"]:
@@ -463,6 +465,7 @@ def test_criterion_7_stationarity_trend(capsys, desk_scale_runs):
             f"median l_b {np.median(lb_first):.4f} -> {np.median(lb_last):.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(capsys, desk_scale_runs):
     first_dir = desk_scale_runs["full"][0][0]
     cfg = replace(xp.default_config(), seed=0,

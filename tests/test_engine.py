@@ -341,7 +341,6 @@ class TestOptimizers:
         w = Tensor([5.0], requires_grad=True)
         opt = AdamState([w], lr=0.1)
         for _ in range(200):
-            opt.zero_grad()
             (w * w).sum().backward()
             opt.step()
         assert abs(w.data[0]) < 0.1

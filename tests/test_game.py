@@ -428,14 +428,16 @@ class TestProbeMemo:
         assert fresh != before
         assert self._probe(state, state.probe_memo) == fresh
 
-    def test_restore_is_seen(self, trained_setup):
+    def test_write_back_after_an_iteration_is_seen(self, trained_setup):
         state = self._state(trained_setup[0])
-        snap = state.snapshot()
+        arrays = [a for _, a in state.g.named_arrays() + state.q.named_arrays()]
+        kept = [a.copy() for a in arrays]
         before = self._probe(state, state.probe_memo)
         rng = seeded_rng(1)
         play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
         assert self._probe(state, state.probe_memo) != before
-        state.restore(snap)
+        for dst, src in zip(arrays, kept):
+            dst[...] = src  # in place: every array keeps its identity
         assert self._probe(state, state.probe_memo) == self._probe(state) == before
 
     def test_forwards_run_only_for_changed_players(self, trained_setup, monkeypatch):
@@ -495,34 +497,25 @@ class TestAblation:
         assert l_g.item() == 0.0
 
 
-class TestSnapshot:
-    def test_restore_replays_an_iteration_bitwise(self, trained_setup):
-        """An iteration run after a detour (a half-step iteration, then
-        restore) equals the same iteration run directly, bit for bit."""
+class TestBgHalvingTrial:
+    def test_full_steps_match_a_plain_run(self, trained_setup):
+        """The half-rate detours leave the full-step run bit for bit as a
+        plain run of play_iteration on the same batches."""
         p, _ = trained_setup
         hp = HyperParams()
-        runs = []
-        for detour in (False, True):
-            q, g = fresh_players(p)
-            state = init_game(p, q, g, hp, seeded_rng(0))
-            rng = seeded_rng(1)
-            play_iteration(state, draw_batch(rng, 16, 5, 4),
-                           draw_batch(rng, 16, 5, 4))  # non-zero optimizer state
-            batches = [draw_batch(rng, 16, 5, 4) for _ in range(2)]
-            if detour:
-                snap = state.snapshot()
-                state.opt_g.lr, state.opt_q.lr = hp.lr_g / 2, hp.lr_q / 2
-                play_iteration(state, *batches)
-                state.restore(snap)
-                state.opt_g.lr, state.opt_q.lr = hp.lr_g, hp.lr_q
-            log = play_iteration(state, *batches)
-            runs.append((repr(astuple(log)),
-                         [a.tobytes() for _, a in g.named_arrays() + q.named_arrays()],
-                         state.opt_g.step_count, state.opt_q.step_count))
-        assert runs[0] == runs[1]
+        q, g = fresh_players(p)
+        pairs = bg_halving_trial(p, q, g, hp, seeded_rng(0), iterations=3)
+        q_plain, g_plain = fresh_players(p)
+        rng = seeded_rng(0)
+        state = init_game(p, q_plain, g_plain, hp, rng)
+        plain = [play_iteration(state, *[draw_batch(rng, hp.batch_size, 5, 4)
+                                         for _ in range(2)]).bg
+                 for _ in range(3)]
+        assert [repr(astuple(full)) for full, _ in pairs] \
+            == [repr(astuple(bg)) for bg in plain]
+        assert [a.tobytes() for _, a in g.named_arrays() + q.named_arrays()] \
+            == [a.tobytes() for _, a in g_plain.named_arrays() + q_plain.named_arrays()]
 
-
-class TestBgHalvingTrial:
     def test_produces_paired_records(self, trained_setup):
         p, _ = trained_setup
         q, g = fresh_players(p)

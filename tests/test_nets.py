@@ -2,6 +2,7 @@
 and checkpoint serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from dfqgame.nets import (
     Generator,
     GeneratorSpec,
     MLP,
+    Memo,
     NetworkSpec,
+    NumericalError,
     QuantizedMLP,
     accuracy,
     build_p,
@@ -40,6 +43,22 @@ SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=
 def small_dataset(seed=0, per_class=40):
     spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=per_class)
     return xp.synth_dataset(spec, seed)
+
+
+class TestMemo:
+    def test_raising_compute_keeps_the_old_key_and_value(self):
+        memo, a = Memo(), np.arange(3.0)
+        assert memo.get([a], lambda: "first") == "first"
+
+        def diverge():
+            raise NumericalError("diverged")
+
+        a += 1.0
+        for _ in range(2):  # a miss both times: the key is still the old a
+            with pytest.raises(NumericalError):
+                memo.get([a], diverge)
+        a -= 1.0
+        assert memo.get([a], diverge) == "first"
 
 
 class TestSpecs:
@@ -352,6 +371,8 @@ class TestCheckpoints:
             h | {"spec": h["spec"] | {"hidden": 5}}, b),
         "hidden_width_zero": lambda h, b: (
             h | {"spec": h["spec"] | {"hidden": [0, 8]}}, b),
+        "hidden_too_wide": lambda h, b: (  # 8e14 bytes of weights
+            h | {"spec": h["spec"] | {"hidden": [10000000, 10000000]}}, b),
         "class_count_one": lambda h, b: (
             h | {"spec": h["spec"] | {"class_count": 1}}, b),
         "quant_bits_out_of_range": lambda h, b: (h | {"quant_bits": 99}, b),
@@ -372,5 +393,11 @@ class TestCheckpoints:
                                                raw[16 + hlen:])
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + body)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # rejected before the header's arrays exist

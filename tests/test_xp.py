@@ -141,6 +141,7 @@ class TestConfigFiles:
         "[hyperparams]\nlr_decay_factor = -1\n",  # Q climbs its loss after a decay
         "[hyperparams]\nlr_decay_factor = nan\n",
         "[hyperparams]\nlr_decay_factor = inf\n",
+        "[experiment]\nseed = -1\n",            # np.random.SeedSequence raises
     ])
     def test_values_that_crash_mid_run_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -277,6 +278,21 @@ class TestCli:
 
     def test_bits_flag_validated(self):
         assert cli.main(["train", "--bits", "12"]) == cli.EXIT_CONFIG
+
+    def test_negative_seed_flag_rejected(self, capsys):
+        assert cli.main(["quantize-eval", "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        ("train", "afile"), ("pretrain", "afile/x"), ("ablate", "afile")])
+    def test_unusable_output_directory_exits_2(self, command, out, tmp_path,
+                                               capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        # pretraining must not start: a run that reached it would fail here
+        monkeypatch.setattr(xp, "pretrain", None)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--out", out]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_disable_flag_validated(self):
         assert cli.main(["train", "--disable", "L_nope"]) == cli.EXIT_CONFIG
