@@ -58,18 +58,15 @@ class HyperParams:
     lr_decay_factor: float = 0.1
     lr_decay_period: int = 50  # epochs between Q learning-rate decays
     bns_stat: str = "variance"  # or "std"
-    # per-term generator-loss weights; None means "use alpha". The ablation
-    # table needs the disagreement and agreement terms to toggle separately.
-    alpha_ds: float | None = None
-    alpha_as: float | None = None
+    disable: tuple = ()  # the LOSS_NAMES the generator loss leaves out
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:
             raise ValueError(
                 f"need 0 <= lambda_l < lambda_u <= 1, got "
                 f"({self.lambda_l}, {self.lambda_u})")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr_g, self.lr_q)):
             raise ValueError(f"learning rates must be finite and >= 0, got "
                              f"lr_g={self.lr_g}, lr_q={self.lr_q}")
@@ -83,18 +80,16 @@ class HyperParams:
         if self.batch_size < 2:
             raise ValueError(
                 f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
-        if min(self.alpha, self.beta, self.gamma) < 0.0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0.0
+                   for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError(f"loss weights must be finite and >= 0, got alpha="
+                             f"{self.alpha}, beta={self.beta}, gamma={self.gamma}")
         if self.bns_stat not in ("variance", "std"):
             raise ValueError(f"bns_stat must be variance|std, got {self.bns_stat}")
-
-    @property
-    def w_ds(self) -> float:
-        return self.alpha if self.alpha_ds is None else self.alpha_ds
-
-    @property
-    def w_as(self) -> float:
-        return self.alpha if self.alpha_as is None else self.alpha_as
+        unknown = set(self.disable) - set(LOSS_NAMES)
+        if unknown:
+            raise ValueError(f"unknown loss names: {sorted(unknown)}")
+        self.disable = tuple(t for t in LOSS_NAMES if t in self.disable)
 
 
 @dataclass
@@ -203,11 +198,11 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     l_b = loss_bound(h_norm, hp.lambda_l, hp.lambda_u)
     l_bns = loss_bns(record, hp.bns_stat)
 
-    if hp.alpha_ds is None and hp.alpha_as is None:
-        l_g = hp.alpha * (l_ds + l_as) + hp.beta * l_b + hp.gamma * l_bns
-    else:
-        l_g = (hp.w_ds * l_ds + hp.w_as * l_as
-               + hp.beta * l_b + hp.gamma * l_bns)
+    # x * 1.0 and 0.0 + x are exact, so a disabled term only zeroes its own
+    # contribution and leaves the others' bits as they are
+    on = {t: 0.0 if t in hp.disable else 1.0 for t in LOSS_NAMES}
+    l_g = (hp.alpha * (on["L_ds"] * l_ds + on["L_as"] * l_as)
+           + hp.beta * on["L_b"] * l_b + hp.gamma * on["L_BNS"] * l_bns)
 
     components = {
         "l_ds": l_ds.item(), "l_as": l_as.item(),
@@ -343,20 +338,8 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
 
 
 def ablation_config(hp: HyperParams, disable) -> HyperParams:
-    """Zero out the weights of the named generator-loss terms."""
-    disable = set(disable)
-    unknown = disable - set(LOSS_NAMES)
-    if unknown:
-        raise ValueError(f"unknown loss names: {sorted(unknown)}")
-    kwargs = {}
-    if "L_ds" in disable or "L_as" in disable:
-        kwargs["alpha_ds"] = 0.0 if "L_ds" in disable else hp.w_ds
-        kwargs["alpha_as"] = 0.0 if "L_as" in disable else hp.w_as
-    if "L_b" in disable:
-        kwargs["beta"] = 0.0
-    if "L_BNS" in disable:
-        kwargs["gamma"] = 0.0
-    return replace(hp, **kwargs)
+    """`hp` with the named generator-loss terms left out as well."""
+    return replace(hp, disable=hp.disable + tuple(disable))
 
 
 def bg_halving_trial(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,

@@ -55,8 +55,10 @@ class DatasetSpec:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.samples_per_class < 20:
             raise ConfigError("samples_per_class must be >= 20")
-        if self.spread <= 0.0 or self.cluster_scale <= 0.0 or self.pair_offset <= 0.0:
-            raise ConfigError("cluster_scale, pair_offset and spread must be positive")
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in (self.cluster_scale, self.pair_offset, self.spread)):
+            raise ConfigError("cluster_scale, pair_offset and spread must be "
+                              "finite and positive")
 
 
 @dataclass
@@ -143,7 +145,7 @@ _SECTIONS = (
     ("hyperparams", "hp", ("alpha", "beta", "gamma", "lambda_l", "lambda_u",
                            "tau", "lr_g", "lr_q", "batch_size", "epochs",
                            "iters_per_epoch", "lr_decay_factor",
-                           "lr_decay_period", "bns_stat")),
+                           "lr_decay_period", "bns_stat", "disable")),
 )
 
 
@@ -158,13 +160,15 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def _format(value) -> str:
-    if isinstance(value, tuple):  # layer widths
+    if isinstance(value, tuple):  # layer widths or loss names
         return ",".join(str(w) for w in value)
     return str(value)
 
 
 def _parse(text: str, default):
-    if isinstance(default, tuple):
+    if default == ():  # loss names, spelled as --disable takes them
+        return tuple(t.strip() for t in text.split(",") if t.strip())
+    if isinstance(default, tuple):  # layer widths
         return tuple(int(w) for w in text.split(","))
     return type(default)(text)
 
@@ -316,7 +320,7 @@ def ablation_sweep(config: ExperimentConfig, rows=DEFAULT_ABLATION_ROWS) -> list
         entry = {"disabled": list(row), "out_dir": sub.out_dir}
         try:
             entry["summary"] = run_experiment(sub)
-        except NumericalError as e:
+        except (NumericalError, OSError) as e:  # e.g. the row path is a file
             entry["error"] = str(e)
         results.append(entry)
     with open(os.path.join(config.out_dir, "ablation.json"), "w") as f:

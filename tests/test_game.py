@@ -169,7 +169,7 @@ class TestGeneratorLoss:
     def test_split_weights_used_when_set(self, trained_setup):
         p, _ = trained_setup
         q, g = fresh_players(p)
-        hp = HyperParams(alpha_ds=0.0, alpha_as=0.5)
+        hp = HyperParams(alpha=0.5, disable=("L_ds",))
         z, y = draw_batch(seeded_rng(0), 8, 5, 4)
         l_g, c = generator_loss(g, p, q, z, y, hp)
         expect = 0.5 * c["l_as"] + hp.beta * c["l_b"] + hp.gamma * c["l_bns"]
@@ -478,15 +478,15 @@ class TestAblation:
         assert ablation_config(hp, ()) == hp
 
     def test_disable_bound_and_bns(self):
-        hp = ablation_config(HyperParams(), ("L_b", "L_BNS"))
-        assert hp.beta == 0.0 and hp.gamma == 0.0
-        assert hp.alpha == 0.1
+        hp = ablation_config(HyperParams(), ("L_BNS", "L_b"))
+        assert hp.disable == ("L_b", "L_BNS")  # in LOSS_NAMES order
+        # the weights keep their values, so config.ini names the terms left out
+        assert (hp.alpha, hp.beta, hp.gamma) == (0.1, 1.0, 1.0)
+        assert ablation_config(hp, ("L_ds", "L_b")).disable == ("L_ds", "L_b", "L_BNS")
 
     def test_ds_and_as_toggle_independently(self):
-        hp = ablation_config(HyperParams(), ("L_ds",))
-        assert hp.w_ds == 0.0 and hp.w_as == 0.1
-        hp = ablation_config(HyperParams(), ("L_as",))
-        assert hp.w_ds == 0.1 and hp.w_as == 0.0
+        assert ablation_config(HyperParams(), ("L_ds",)).disable == ("L_ds",)
+        assert ablation_config(HyperParams(), ("L_as",)).disable == ("L_as",)
 
     def test_all_disabled_null_objective(self, trained_setup):
         p, _ = trained_setup

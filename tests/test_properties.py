@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dfqgame import cli
 from dfqgame.engine import seeded_rng
+from dfqgame.game import LOSS_NAMES, HyperParams
 from dfqgame.nets import (
     CheckpointError,
     Generator,
@@ -22,6 +23,7 @@ from dfqgame.nets import (
     save_checkpoint,
 )
 from dfqgame.quant import QuantConfig
+from dfqgame.xp import ExperimentConfig, config_to_text, parse_config
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
 SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=4)
@@ -77,9 +79,10 @@ def mostly(valid, invalid):
 
 
 # valid ranges include their edges: a width of 1, no iteration, tau at the
-# bottom of the float range, a NaN tau (which passes validation)
-TAU = st.floats(1e-3, 10.0) | st.sampled_from([1e-300, math.inf, math.nan])
+# bottom of the float range; an infinite or NaN tau is an invalid draw
+TAU = st.floats(1e-3, 10.0) | st.just(1e-300)
 BAD_FLOAT = st.floats(-1.0, 2.0) | st.sampled_from([math.inf, math.nan])
+DISABLE = st.lists(st.sampled_from(LOSS_NAMES), unique=True)
 WIDTHS = st.lists(st.integers(1, 8), min_size=1, max_size=3)
 BAD_WIDTHS = st.lists(st.integers(-1, 8), max_size=3)
 
@@ -95,10 +98,11 @@ BAD_WIDTHS = st.lists(st.integers(-1, 8), max_size=3)
        pretrain_epochs=mostly(st.integers(0, 1), st.just(-1)),
        epochs=mostly(st.integers(0, 1), st.just(-1)),
        iters_per_epoch=mostly(st.integers(0, 3), st.just(-1)),
-       batch_size=mostly(st.integers(2, 4), st.integers(0, 1)))
+       batch_size=mostly(st.integers(2, 4), st.integers(0, 1)),
+       disable=mostly(DISABLE, st.just(["L_nope"])))
 def test_train_exits_0_2_or_3(workdir, seed, bits, lambda_l, lambda_u, tau,
                               hidden, g_hidden, noise_dim, pretrain_epochs,
-                              epochs, iters_per_epoch, batch_size):
+                              epochs, iters_per_epoch, batch_size, disable):
     """Any config file ends `train` with exit 0, 2 (config error) or 3
     (numerical abort), never with a traceback."""
     cp = configparser.ConfigParser()
@@ -110,7 +114,7 @@ def test_train_exits_0_2_or_3(workdir, seed, bits, lambda_l, lambda_u, tau,
         "generator": {"noise_dim": noise_dim, "hidden": ",".join(map(str, g_hidden))},
         "hyperparams": {"lambda_l": lambda_l, "lambda_u": lambda_u, "tau": tau,
                         "epochs": epochs, "iters_per_epoch": iters_per_epoch,
-                        "batch_size": batch_size},
+                        "batch_size": batch_size, "disable": ",".join(disable)},
     })
     ini = workdir / "train.ini"
     with open(ini, "w") as f:
@@ -119,3 +123,20 @@ def test_train_exits_0_2_or_3(workdir, seed, bits, lambda_l, lambda_u, tau,
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["train", "--config", str(ini)])
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+
+
+FINITE = st.floats(0.0, 1e6) | st.sampled_from([5e-324, 1e-300, 0.1 + 0.2])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(alpha=FINITE, beta=FINITE, gamma=FINITE, lr_g=FINITE, lr_q=FINITE,
+       lr_decay_factor=FINITE, lambda_l=st.floats(0.0, 0.5),
+       lambda_u=st.floats(0.5, 1.0, exclude_min=True), tau=TAU,
+       batch_size=st.integers(2, 2**20), epochs=st.integers(0, 2**20),
+       iters_per_epoch=st.integers(0, 2**20), lr_decay_period=st.integers(0, 2**20),
+       bns_stat=st.sampled_from(["variance", "std"]), disable=DISABLE)
+def test_config_text_round_trips(**hp):
+    """config.ini holds each hyperparameter exactly, the terms a run leaves
+    out included, so a run's file replays it."""
+    cfg = ExperimentConfig(hp=HyperParams(**hp))
+    assert parse_config(config_to_text(cfg)) == cfg

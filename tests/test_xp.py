@@ -2,6 +2,7 @@
 emission, the pipeline, ablation sweeps, and the CLI."""
 
 import configparser
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -142,10 +143,39 @@ class TestConfigFiles:
         "[hyperparams]\nlr_decay_factor = nan\n",
         "[hyperparams]\nlr_decay_factor = inf\n",
         "[experiment]\nseed = -1\n",            # np.random.SeedSequence raises
+        "[hyperparams]\nalpha = nan\n",         # non-finite generator loss
+        "[hyperparams]\nbeta = nan\n",
+        "[hyperparams]\ngamma = inf\n",
+        "[hyperparams]\ntau = nan\n",           # non-finite calibration loss
+        "[hyperparams]\ntau = inf\n",           # exits 0, Q gets no calibration
+        "[dataset]\nspread = nan\n",            # misread as diverged pretraining
+        "[dataset]\ncluster_scale = inf\n",
+        "[dataset]\npair_offset = inf\n",
     ])
     def test_values_that_crash_mid_run_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_disable_round_trip(self):
+        cfg = parse_config("[hyperparams]\ndisable = L_BNS, L_ds\n")
+        assert cfg.hp.disable == ("L_ds", "L_BNS")
+        assert "disable = L_ds,L_BNS" in config_to_text(cfg)
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    def test_every_setting_is_a_key(self):
+        """config.ini holds every setting, so replaying it replays the run;
+        only the fields that follow from others are exempt."""
+        derived = {("network", "batch_norm"),     # must be true
+                   ("generator", "output_dim"),   # follows the network
+                   ("generator", "class_count")}
+        cfg = default_config()
+        for _, attr, keys in xp._SECTIONS:
+            owner = getattr(cfg, attr) if attr else cfg
+            fields = {f.name for f in dataclasses.fields(owner)
+                      if not dataclasses.is_dataclass(getattr(owner, f.name))}
+            missing = {name for name in fields - set(keys)
+                       if (attr, name) not in derived}
+            assert not missing, (attr, missing)
 
     def test_bits_checked_without_the_parser(self):
         with pytest.raises(ConfigError):
@@ -353,6 +383,31 @@ class TestCli:
                          "--disable", "L_b"])
         assert code == 0
         assert "disabled=" in capsys.readouterr().out
+
+    def test_ablate_records_an_unusable_row_directory(self, tmp_path, capsys):
+        ini = self._tiny_ini(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "ablate_full").write_text("")
+        assert cli.main(["ablate", "--config", ini]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAILED:" in lines[0] and "ablate_full" in lines[0]
+        assert all("q_final=" in line for line in lines[1:])
+        report = json.load(open(tmp_path / "out" / "ablation.json"))
+        assert "ablate_full" in report[0]["error"]
+        assert all("summary" in entry for entry in report[1:])
+
+    def test_ablate_rows_replay(self, tmp_path, capsys):
+        """Each row's config.ini names the terms it left out, so training
+        on it writes the row's metrics again."""
+        assert cli.main(["ablate", "--config", self._tiny_ini(tmp_path)]) == 0
+        rows = sorted((tmp_path / "out").glob("ablate_*"))
+        assert len(rows) == len(xp.DEFAULT_ABLATION_ROWS)
+        for row in rows:
+            replay = tmp_path / "replay" / row.name
+            assert cli.main(["train", "--config", str(row / "config.ini"),
+                             "--out", str(replay)]) == 0
+            assert (replay / "metrics.csv").read_bytes() == \
+                (row / "metrics.csv").read_bytes(), row.name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_diverged_pretraining_exits_3(self, tmp_path, capsys):
