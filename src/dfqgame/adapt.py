@@ -73,7 +73,8 @@ def agreement_distribution(lp: LogitsPair) -> Tensor:
 
 
 def info_entropy(p, validate: bool = True) -> Tensor:
-    """Row-wise Shannon entropy in nats, with 0 * ln(1/0) taken as 0."""
+    """Row-wise Shannon entropy in nats, with 0 * ln(1/0) taken as 0. One
+    tape node."""
     if not isinstance(p, Tensor):
         p = Tensor(p)
     if validate:
@@ -81,7 +82,20 @@ def info_entropy(p, validate: bool = True) -> Tensor:
         if np.any(rows < -SIMPLEX_TOL) or np.any(
                 np.abs(rows.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
             raise ValueError("info_entropy: rows must lie on the simplex")
-    return -(p * p.clip_min(_ENTROPY_FLOOR).log()).sum(axis=-1)
+    mask = p.data > _ENTROPY_FLOOR
+    c = np.where(mask, p.data, _ENTROPY_FLOOR)
+    if np.any(c <= 0.0):
+        raise ValueError("log: input must be strictly positive")
+    log_c = np.log(c)
+
+    def backward(out):
+        if p.requires_grad:
+            g = np.expand_dims(-out.grad, -1)
+            # two paths, two accumulations: the product's, then the floor's
+            p._accumulate(g * log_c)
+            p._accumulate(g * p.data / c * mask)
+
+    return Tensor._result(-(p.data * log_c).sum(axis=-1), (p,), backward)
 
 
 def normalize_entropy(h_info: Tensor, class_count: int,

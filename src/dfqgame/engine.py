@@ -4,6 +4,14 @@ Everything is float64, row-major, CPU-only. Elementwise binary ops
 follow NumPy broadcasting, and operands that do not broadcast raise
 ShapeMismatchError. Gradients for broadcast operands are sum-reduced back
 to the operand's shape.
+
+Batch norm, softmax, and (in nets and adapt) label cross-entropy and
+entropy are each one tape node with the bits of the primitive ops they
+replace. The forward runs those ops in their order; the backward computes
+what the primitives' sweep would send along each path. When several paths
+inside a node reach one input, the node calls `_accumulate` once per path,
+in the order the sweep would: float addition does not associate, so
+summing the paths first changes the bits.
 """
 
 from __future__ import annotations
@@ -335,14 +343,25 @@ def softmax(z: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     """Row-wise softmax with max-subtraction; temperature divides the logits.
 
     The per-row max is a stop-gradient constant, which is exact because
-    softmax is invariant under per-row shifts.
+    softmax is invariant under per-row shifts. One tape node.
     """
     if temperature <= 0.0:
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
-    t = z * (1.0 / temperature)
-    shift = Tensor(t.data.max(axis=axis, keepdims=True))
-    e = (t - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    inv_t = 1.0 / temperature
+    t = z.data * inv_t
+    e = np.exp(t - t.max(axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True)
+    if np.any(s == 0.0):
+        raise ZeroDivisionError("div: divisor tensor contains zero")
+
+    def backward(out):
+        if z.requires_grad:
+            g = out.grad
+            ge = g / s
+            ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
+            z._accumulate(ge * e * inv_t)
+
+    return Tensor._result(e / s, (z,), backward)
 
 
 class BatchNorm:
@@ -371,28 +390,64 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         """mode: 'train' (batch stats, update running), 'batch' (batch
-        stats, no update), 'eval' (running stats)."""
+        stats, no update), 'eval' (running stats). One tape node."""
         if x.shape[-1] != self.width:
             raise ShapeMismatchError(
                 f"batch_norm: feature dim {x.shape[-1]} != layer width {self.width}"
             )
+        gamma, beta = self.gamma, self.beta
         if mode in ("train", "batch"):
             if x.shape[0] < 2:
                 raise ValueError("batch_norm: train mode needs batch size >= 2")
-            mu = x.mean(axis=0)
-            var = ((x - mu) * (x - mu)).mean(axis=0)
+            inv_n = 1.0 / x.shape[0]
+            mu = x.data.sum(axis=0) * inv_n
+            d = x.data - mu
+            var = (d * d).sum(axis=0) * inv_n
             if mode == "train":
                 m = self.MOMENTUM
-                self.running_mean = (1 - m) * self.running_mean + m * mu.data
-                self.running_var = (1 - m) * self.running_var + m * var.data
-            xhat = (x - mu) / (var + self.EPS).sqrt()
+                self.running_mean = (1 - m) * self.running_mean + m * mu
+                self.running_var = (1 - m) * self.running_var + m * var
+            var_eps = var + self.EPS
+            if np.any(var_eps < 0.0):
+                raise ValueError("sqrt: input must be non-negative")
+            std = np.sqrt(var_eps)
         elif mode == "eval":
-            mu = Tensor(self.running_mean)
-            std = Tensor(np.sqrt(self.running_var + self.EPS))
-            xhat = (x - mu) / std
+            d = Tensor._broadcast(np.subtract, x.data, self.running_mean)
+            std = np.sqrt(self.running_var + self.EPS)
         else:
             raise ValueError(f"batch_norm: unknown mode {mode!r}")
-        return xhat * self.gamma + self.beta
+        if np.any(std == 0.0):
+            raise ZeroDivisionError("div: divisor tensor contains zero")
+        xhat = Tensor._broadcast(np.divide, d, std)
+        scaled = Tensor._broadcast(np.multiply, xhat, gamma.data)
+
+        def backward(out):
+            g = out.grad
+            if beta.requires_grad:
+                beta._accumulate(_unbroadcast(g, beta.shape))
+            if gamma.requires_grad:
+                gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+            if not x.requires_grad:
+                return
+            g_xhat = g * gamma.data
+            g_d = g_xhat / std
+            x._accumulate(_unbroadcast(g_d, x.shape))
+            if mode == "eval":
+                return
+            # The paths through the batch statistics reach x and the mean in
+            # the sweep's order: x - mu of x-hat (above), the variance's two
+            # x - mu, then (x only) the mean's sum.
+            g_var = _unbroadcast(-g_xhat * d / (std * std), std.shape) * 0.5 / std
+            g_sq = g_var * inv_n * d
+            g_mu = _unbroadcast(-g_d, mu.shape)
+            g_mu_sq = _unbroadcast(-g_sq, mu.shape)
+            for _ in range(2):
+                x._accumulate(g_sq)
+                g_mu += g_mu_sq
+            x._accumulate(np.broadcast_to(g_mu * inv_n, x.shape))
+
+        return Tensor._result(Tensor._broadcast(np.add, scaled, beta.data),
+                              (x, gamma, beta), backward)
 
 
 # -- optimizers -----------------------------------------------------------------

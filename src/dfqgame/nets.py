@@ -15,6 +15,7 @@ from .engine import (
     AdamState,
     Tensor,
     ShapeMismatchError,
+    _unbroadcast,
     frozen,
     softmax,
 )
@@ -275,8 +276,26 @@ def one_hot(labels: np.ndarray, class_count: int) -> Tensor:
 
 
 def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
-    """Mean cross-entropy of probability rows `p`, floored at 1e-12."""
-    return -(y_onehot * p.clip_min(1e-12).log()).sum(axis=-1).mean()
+    """Mean cross-entropy of probability rows `p`, floored at 1e-12. One
+    tape node; the labels are constants."""
+    y = Tensor._coerce(y_onehot)
+    if y.requires_grad:
+        raise ValueError("label_cross_entropy: labels must not require a gradient")
+    mask = p.data > 1e-12
+    c = np.where(mask, p.data, 1e-12)
+    if np.any(c <= 0.0):
+        raise ValueError("log: input must be strictly positive")
+    log_c = np.log(c)
+    prod = Tensor._broadcast(np.multiply, y.data, log_c)
+    rows = prod.sum(axis=-1)
+    inv_n = 1.0 / rows.size
+
+    def backward(out):
+        if p.requires_grad:
+            g = np.broadcast_to(-out.grad * inv_n, prod.shape)
+            p._accumulate(_unbroadcast(g * y.data, c.shape) / c * mask)
+
+    return Tensor._result(-(rows.sum() * inv_n), (p,), backward)
 
 
 def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:

@@ -309,15 +309,19 @@ DEFAULT_ABLATION_ROWS = (
 
 
 def ablation_sweep(config: ExperimentConfig, rows=DEFAULT_ABLATION_ROWS) -> list[dict]:
-    """One run_experiment per row of disabled generator-loss terms; failures
-    are recorded and the sweep continues."""
-    results = []
+    """One run_experiment per distinct set of disabled generator-loss terms
+    (the row's terms and those `config` already leaves out); failures are
+    recorded and the sweep continues."""
+    results, seen = [], set()
     for row in rows:
-        tag = "full" if not row else "-".join(sorted(row))
-        sub = replace(config,
-                      hp=game.ablation_config(config.hp, row),
+        hp = game.ablation_config(config.hp, row)
+        if hp.disable in seen:
+            continue  # the same game as an earlier row
+        seen.add(hp.disable)
+        tag = "-".join(sorted(hp.disable)) or "full"
+        sub = replace(config, hp=hp,
                       out_dir=os.path.join(config.out_dir, f"ablate_{tag}"))
-        entry = {"disabled": list(row), "out_dir": sub.out_dir}
+        entry = {"disabled": list(hp.disable), "out_dir": sub.out_dir}
         try:
             entry["summary"] = run_experiment(sub)
         except (NumericalError, OSError) as e:  # e.g. the row path is a file

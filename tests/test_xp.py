@@ -409,6 +409,22 @@ class TestCli:
             assert (replay / "metrics.csv").read_bytes() == \
                 (row / "metrics.csv").read_bytes(), row.name
 
+    def test_ablate_labels_rows_by_what_they_disable(self, tmp_path, capsys):
+        """With --disable L_b the full row and the L_b row are one game: it
+        runs once, and every row is labelled with what its config.ini says."""
+        assert cli.main(["ablate", "--config", self._tiny_ini(tmp_path),
+                         "--disable", "L_b"]) == 0
+        printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        report = json.load(open(tmp_path / "out" / "ablation.json"))
+        assert len(report) == 5
+        sets = []
+        for entry, line in zip(report, printed):
+            recorded = parse_config(open(os.path.join(entry["out_dir"], "config.ini")).read())
+            assert entry["disabled"] == list(recorded.hp.disable)
+            assert line == "disabled=" + ",".join(entry["disabled"])
+            sets.append(frozenset(entry["disabled"]))
+        assert len(set(sets)) == 5 and all("L_b" in s for s in sets)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_diverged_pretraining_exits_3(self, tmp_path, capsys):
         ini = self._tiny_ini(tmp_path, "[experiment]\npretrain_lr = 1e200\n")
