@@ -88,6 +88,7 @@ def info_entropy(p, validate: bool = True) -> Tensor:
         raise ValueError("log: input must be strictly positive")
     log_c = np.log(c)
 
+    # by hand: the product and the floor send two paths into p
     def backward(out):
         if p.requires_grad:
             g = np.expand_dims(-out.grad, -1)

@@ -2,16 +2,20 @@
 
 Everything is float64, row-major, CPU-only. Elementwise binary ops
 follow NumPy broadcasting, and operands that do not broadcast raise
-ShapeMismatchError. Gradients for broadcast operands are sum-reduced back
-to the operand's shape.
+ShapeMismatchError.
+
+Gradients are routed by two rules. A node with one path into each input
+is built by `Tensor._node`, whose backward is the only generic one: each
+parent that requires a gradient, in parent order, receives its gradient
+sum-reduced to its own shape. A node with several paths into one input
+(batch norm here, entropy in adapt) calls `_accumulate` once per path, in
+the order a sweep over the primitive ops would: float addition does not
+associate, so summing the paths first changes the bits.
 
 Batch norm, softmax, and (in nets and adapt) label cross-entropy and
 entropy are each one tape node with the bits of the primitive ops they
-replace. The forward runs those ops in their order; the backward computes
-what the primitives' sweep would send along each path. When several paths
-inside a node reach one input, the node calls `_accumulate` once per path,
-in the order the sweep would: float addition does not associate, so
-summing the paths first changes the bits.
+replace: the forward runs those ops in their order, and the backward
+computes what the primitives' sweep would send along each path.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ class Tensor:
             out._backward = backward
         return out
 
+    @staticmethod
+    def _node(data, parents, *grads) -> "Tensor":
+        """A node whose backward sends grads[i](out.grad), sum-reduced to
+        its shape, into each parents[i] that requires a gradient, in order."""
+        def backward(out):
+            for p, grad in zip(parents, grads):
+                if p.requires_grad:
+                    p._accumulate(_unbroadcast(grad(out.grad), p.shape))
+
+        return Tensor._result(data, parents, backward)
+
     @property
     def shape(self) -> tuple:
         return self.data.shape
@@ -114,51 +129,27 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self._broadcast(np.add, self.data, other.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        return self._result(out_data, (self, other), backward)
+        return self._node(self._broadcast(np.add, self.data, other.data),
+                          (self, other), lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(-out.grad)
-
-        return self._result(-self.data, (self,), backward)
+        return self._node(-self.data, (self,), lambda g: -g)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        out_data = self._broadcast(np.subtract, self.data, other.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-out.grad, other.shape))
-
-        return self._result(out_data, (self, other), backward)
+        return self._node(self._broadcast(np.subtract, self.data, other.data),
+                          (self, other), lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self._broadcast(np.multiply, self.data, other.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        return self._result(out_data, (self, other), backward)
+        return self._node(self._broadcast(np.multiply, self.data, other.data),
+                          (self, other), lambda g: g * other.data,
+                          lambda g: g * self.data)
 
     __rmul__ = __mul__
 
@@ -166,16 +157,9 @@ class Tensor:
         other = self._coerce(other)
         if np.any(other.data == 0.0):
             raise ZeroDivisionError("div: divisor tensor contains zero")
-        out_data = self._broadcast(np.divide, self.data, other.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
-            if other.requires_grad:
-                g = -out.grad * self.data / (other.data * other.data)
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return self._result(out_data, (self, other), backward)
+        return self._node(self._broadcast(np.divide, self.data, other.data),
+                          (self, other), lambda g: g / other.data,
+                          lambda g: -g * self.data / (other.data * other.data))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -192,15 +176,8 @@ class Tensor:
             raise ShapeMismatchError(
                 f"matmul: inner dims differ, {self.shape} vs {other.shape}"
             )
-        out_data = self.data @ other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ out.grad)
-
-        return self._result(out_data, (self, other), backward)
+        return self._node(self.data @ other.data, (self, other),
+                          lambda g: g @ other.data.T, lambda g: self.data.T @ g)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -212,68 +189,40 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * out_data)
-
-        return self._result(out_data, (self,), backward)
+        return self._node(out_data, (self,), lambda g: g * out_data)
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):
             raise ValueError("log: input must be strictly positive")
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        return self._result(np.log(self.data), (self,), backward)
+        return self._node(np.log(self.data), (self,), lambda g: g / self.data)
 
     def sqrt(self) -> "Tensor":
         if np.any(self.data < 0.0):
             raise ValueError("sqrt: input must be non-negative")
         out_data = np.sqrt(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * 0.5 / out_data)
-
-        return self._result(out_data, (self,), backward)
+        return self._node(out_data, (self,), lambda g: g * 0.5 / out_data)
 
     def clip_min(self, floor: float) -> "Tensor":
         """Elementwise max(self, floor); gradient is zero on the clipped set."""
         mask = self.data > floor
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * mask)
-
-        return self._result(np.where(mask, self.data, floor), (self,), backward)
+        return self._node(np.where(mask, self.data, floor), (self,),
+                          lambda g: g * mask)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
-
-        return self._result(out_data, (self,), backward)
+        return self._node(self.data.reshape(shape), (self,),
+                          lambda g: g.reshape(self.shape))
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        def grad(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.shape)
 
-        def backward(out):
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.shape))
-
-        return self._result(out_data, (self,), backward)
+        return self._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.size if axis is None else self.shape[axis]
@@ -284,8 +233,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
-        Leaf gradients accumulate across calls; clear them explicitly
-        between steps.
+        Leaf gradients accumulate across calls until an optimizer step
+        consumes them: `AdamState.step` and `SgdNesterovState.step` set
+        each parameter's `.grad` back to None.
         """
         if self.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -354,14 +304,12 @@ def softmax(z: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     if np.any(s == 0.0):
         raise ZeroDivisionError("div: divisor tensor contains zero")
 
-    def backward(out):
-        if z.requires_grad:
-            g = out.grad
-            ge = g / s
-            ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
-            z._accumulate(ge * e * inv_t)
+    def grad(g):
+        ge = g / s
+        ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
+        return ge * e * inv_t
 
-    return Tensor._result(e / s, (z,), backward)
+    return Tensor._node(e / s, (z,), grad)
 
 
 class BatchNorm:
@@ -421,6 +369,7 @@ class BatchNorm:
         xhat = Tensor._broadcast(np.divide, d, std)
         scaled = Tensor._broadcast(np.multiply, xhat, gamma.data)
 
+        # by hand: x-hat and the batch statistics send several paths into x
         def backward(out):
             g = out.grad
             if beta.requires_grad:
@@ -507,11 +456,9 @@ class SgdNesterovState:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.step_count = 0
         self.velocity = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        self.step_count += 1
         mu = self.momentum
         for i, p in enumerate(self.params):
             g = p.grad

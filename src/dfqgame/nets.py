@@ -215,11 +215,9 @@ class QuantizedMLP(_BlockStack):
             out.flags.writeable = False  # shared by every later hit
             return out
 
-        def backward(node):  # straight-through, as in fake_quantize
-            w._accumulate(node.grad)
-
-        return Tensor._result(self._weight_memos[slot].get([w.data], quantize),
-                              (w,), backward)
+        # straight-through, as in fake_quantize
+        return Tensor._node(self._weight_memos[slot].get([w.data], quantize),
+                            (w,), lambda g: g)
 
     def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
         return self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
@@ -290,12 +288,11 @@ def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
     rows = prod.sum(axis=-1)
     inv_n = 1.0 / rows.size
 
-    def backward(out):
-        if p.requires_grad:
-            g = np.broadcast_to(-out.grad * inv_n, prod.shape)
-            p._accumulate(_unbroadcast(g * y.data, c.shape) / c * mask)
+    def grad(g):
+        g = np.broadcast_to(-g * inv_n, prod.shape)
+        return _unbroadcast(g * y.data, c.shape) / c * mask
 
-    return Tensor._result(-(rows.sum() * inv_n), (p,), backward)
+    return Tensor._node(-(rows.sum() * inv_n), (p,), grad)
 
 
 def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:

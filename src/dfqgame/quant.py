@@ -81,6 +81,7 @@ def fake_quantize(theta: Tensor, bits: int) -> Tensor:
     """Differentiable quantize -> dequantize with a straight-through
     estimator: the backward pass treats the whole round trip as identity.
     """
+    # by hand: perfbench/tracer.py counts this node in its fake_quantize hook
     out = Tensor(fake_quantize_array(theta.data, bits))
     if theta.requires_grad:
         out.requires_grad = True

@@ -80,8 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_period < 1:
             raise ConfigError(f"eval_period must be >= 1, got {self.eval_period}")
-        if not 2 <= self.bits <= 8:
-            raise ConfigError(f"bits must be in [2, 8], got {self.bits}")
+        try:
+            QuantConfig(bits=self.bits)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         d, n, g = self.dataset, self.network, self.generator
         if not (d.input_dim == n.input_dim == g.output_dim
                 and d.class_count == n.class_count == g.class_count):

@@ -12,6 +12,7 @@ from dfqgame.engine import (
     SgdNesterovState,
     ShapeMismatchError,
     Tensor,
+    _unbroadcast,
     gaussian,
     seeded_rng,
     softmax,
@@ -233,6 +234,114 @@ class TestBackwardMechanics:
         t = Tensor([2.0], requires_grad=True)
         (t.detach() * t).sum().backward()
         np.testing.assert_array_equal(t.grad, [2.0])
+
+
+# Reference gradients, written as the ops' hand-written backwards wrote
+# them: (into the left operand, into the right) as functions of the upstream
+# gradient g and the operands' arrays, before the sum-reduction to each
+# operand's shape.
+BINARY_GRADS = {
+    operator.add: (lambda g, a, b: g, lambda g, a, b: g),
+    operator.sub: (lambda g, a, b: g, lambda g, a, b: -g),
+    operator.mul: (lambda g, a, b: g * b, lambda g, a, b: g * a),
+    operator.truediv: (lambda g, a, b: g / b,
+                       lambda g, a, b: -g * a / (b * b)),
+    operator.matmul: (lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g),
+}
+
+# (op, gradient into x as a function of g, x and the output's array)
+UNARY_GRADS = (
+    (operator.neg, lambda g, x, out: -g),
+    (Tensor.exp, lambda g, x, out: g * out),
+    (Tensor.log, lambda g, x, out: g / x),
+    (Tensor.sqrt, lambda g, x, out: g * 0.5 / out),
+    (lambda t: t.clip_min(0.8), lambda g, x, out: g * (x > 0.8)),
+    (lambda t: t.reshape(4, 3), lambda g, x, out: g.reshape(x.shape)),
+    (lambda t: t.sum(axis=0),
+     lambda g, x, out: np.broadcast_to(np.expand_dims(g, 0), x.shape)),
+    (lambda t: t.sum(axis=1, keepdims=True),
+     lambda g, x, out: np.broadcast_to(g, x.shape)),
+)
+
+
+class TestRoutingContract:
+    """Each single-path node sends its gradient only into the parents that
+    require one, sum-reduced to the parent's shape, in parent order: the
+    bytes equal those of the hand-written backwards, and a frozen operand's
+    gradient stays None."""
+
+    SHAPES = [((3, 4), (4,)), ((3, 1), (1, 4)), ((3, 4), ())]
+    FLAGS = [(True, True), (True, False), (False, True), (False, False)]
+
+    @staticmethod
+    def _array(rng, shape):
+        # away from zero, so a divisor is safe and no product is -0.0
+        return rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+    @staticmethod
+    def _sweep(out, rng):
+        """Backward from sum(out * w); returns w, the gradient out receives."""
+        w = rng.standard_normal(out.shape)
+        (out * Tensor(w)).sum().backward()
+        return w  # 1.0 * w + 0.0 is w itself
+
+    @staticmethod
+    def _expected(leaves, grads, prior=None):
+        """What a parent-order sweep leaves in each leaf's .grad, by id."""
+        acc = {} if prior is None else {id(leaves[0]): prior.copy()}
+        for leaf, g in zip(leaves, grads):
+            if leaf.requires_grad:
+                g = _unbroadcast(g, leaf.shape)
+                acc[id(leaf)] = acc[id(leaf)] + g if id(leaf) in acc else g + 0.0
+        return acc
+
+    @staticmethod
+    def _assert_grads(leaves, expected):
+        for leaf in leaves:
+            if leaf.requires_grad:
+                assert leaf.grad.tobytes() == expected[id(leaf)].tobytes()
+            else:
+                assert leaf.grad is None
+
+    def _binary(self, op, shapes, flags, seed):
+        rng = seeded_rng(seed)
+        a, b = (Tensor(self._array(rng, s), requires_grad=f)
+                for s, f in zip(shapes, flags))
+        out = op(a, b)
+        assert out._parents == ((a, b) if any(flags) else ())  # no node if frozen
+        w = self._sweep(out, rng)
+        grads = [grad(w, a.data, b.data) for grad in BINARY_GRADS[op]]
+        self._assert_grads((a, b), self._expected((a, b), grads))
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_broadcast_binary(self, op, shapes, flags):
+        self._binary(op, shapes, flags, seed=11)
+        self._binary(op, shapes[::-1], flags, seed=12)
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    def test_matmul(self, flags):
+        self._binary(operator.matmul, ((3, 4), (4, 2)), flags, seed=13)
+
+    @pytest.mark.parametrize("op", BINARY_OPS + (operator.matmul,))
+    def test_repeated_operand(self, op):
+        # a prior gradient makes the order of the two accumulations visible
+        rng = seeded_rng(14)
+        a = Tensor(self._array(rng, (3, 3)), requires_grad=True)
+        prior = rng.standard_normal((3, 3))
+        a.grad = prior.copy()
+        w = self._sweep(op(a, a), rng)
+        grads = [grad(w, a.data, a.data) for grad in BINARY_GRADS[op]]
+        self._assert_grads((a,), self._expected((a, a), grads, prior))
+
+    @pytest.mark.parametrize("op, grad", UNARY_GRADS)
+    def test_unary(self, op, grad):
+        rng = seeded_rng(15)
+        x = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
+        out = op(x)
+        w = self._sweep(out, rng)
+        self._assert_grads((x,), self._expected((x,), [grad(w, x.data, out.data)]))
 
 
 class TestSoftmax:

@@ -178,8 +178,9 @@ class TestConfigFiles:
             assert not missing, (attr, missing)
 
     def test_bits_checked_without_the_parser(self):
-        with pytest.raises(ConfigError):
-            replace(default_config(), bits=1)
+        for bits in (1, 3.5, np.int64(3)):  # QuantConfig's check, as ConfigError
+            with pytest.raises(ConfigError):
+                replace(default_config(), bits=bits)
 
 
 class TestMetricsEmission:
