@@ -16,11 +16,19 @@ Batch norm, softmax, and (in nets and adapt) label cross-entropy and
 entropy are each one tape node with the bits of the primitive ops they
 replace: the forward runs those ops in their order, and the backward
 computes what the primitives' sweep would send along each path.
+
+`_node` hands a fresh first gradient to its parent instead of copying
+it. An optimizer packs its parameters into one flat buffer that each
+`.data` views, with its state in the same layout. A step runs the
+per-parameter in-place update, in its order, over blocks of at most BLOCK
+elements through three scratch rows: the same bits, and no player-sized
+temporary. It packs again if a rebinding or a deepcopy broke a view.
 """
 
 from __future__ import annotations
 
 import contextlib
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -74,11 +82,19 @@ class Tensor:
     @staticmethod
     def _node(data, parents, *grads) -> "Tensor":
         """A node whose backward sends grads[i](out.grad), sum-reduced to
-        its shape, into each parents[i] that requires a gradient, in order."""
+        its shape, into each parents[i] that requires a gradient, in order.
+
+        A grad function returns a fresh array or a view, never an array it
+        keeps, so a fresh one can become the parent's first gradient."""
         def backward(out):
             for p, grad in zip(parents, grads):
                 if p.requires_grad:
-                    p._accumulate(_unbroadcast(grad(out.grad), p.shape))
+                    g = _unbroadcast(grad(out.grad), p.shape)
+                    if p.grad is None and g.base is None and g is not out.grad:
+                        g += 0.0  # in place, the bits of _accumulate's copy
+                        p.grad = g
+                    else:
+                        p._accumulate(g)
 
         return Tensor._result(data, parents, backward)
 
@@ -402,7 +418,58 @@ class BatchNorm:
 # -- optimizers -----------------------------------------------------------------
 
 
-class AdamState:
+BLOCK = 16384  # buffer elements an optimizer step updates at a time
+
+
+class _Packed:
+    """An optimizer's parameters packed into one buffer, stepped in blocks
+    through three scratch rows (see the module docstring)."""
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+        self._buf = np.empty(sum(t.size for t in params))
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy the parameters into the buffer, which each `.data` then views."""
+        for t, view in zip(self.params, self._views(self._buf)):
+            view[...] = t.data
+            t.data = view
+        self._tmp = np.empty((3, min(BLOCK, self._buf.size)))
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a flat array in the packed layout."""
+        ends = accumulate(t.size for t in self.params)
+        return [flat[e - t.size:e].reshape(t.shape) for t, e in zip(self.params, ends)]
+
+    def _blocks(self, op: str, missing_is_zero: bool = False):
+        """Spend the gradients; per block of the parameters that have one (or
+        all, reading a missing one as zeros), yield its slice of the buffer,
+        its gradient gathered into a scratch row, and the two other rows."""
+        for t in self.params:
+            if t.grad is not None and t.grad.shape != t.shape:
+                raise ShapeMismatchError(
+                    f"{op}: grad shape {t.grad.shape} != param shape {t.shape}")
+        grads = [np.broadcast_to(0.0, t.shape) if t.grad is None and missing_is_zero
+                 else t.grad for t in self.params]
+        for t in self.params:
+            t.grad = None  # spent; no gradient outlives its step
+        if any(t.data.base is not self._buf for t in self.params):
+            self._pack()  # a rebinding or a deepcopy broke a view
+        lo = 0  # where the run of parameters starts in the buffer
+        for skip, run in groupby(zip(self.params, grads), lambda tg: tg[1] is None):
+            flats = [(t.data if skip else g).reshape(-1) for t, g in run]
+            starts = list(accumulate((f.size for f in flats), initial=0))
+            for b in range(0, 0 if skip else starts[-1], BLOCK):
+                e = min(b + BLOCK, starts[-1])
+                g, a, c = self._tmp[:, :e - b]
+                np.concatenate([f[max(b - s, 0):e - s] for f, s in zip(flats, starts)
+                                if s < e and s + f.size > b], out=g)
+                yield slice(lo + b, lo + e), g, a, c
+            lo += starts[-1]
+
+
+class AdamState(_Packed):
     """Adam with bias correction; BETA1 = 0.9 matches the momentum convention."""
 
     BETA1 = 0.9
@@ -410,76 +477,66 @@ class AdamState:
     EPS = 1e-8
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3):
-        self.params = params
+        super().__init__(params)
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self._m, self._v = np.zeros((2, self._buf.size))
+
+    m = property(lambda self: self._views(self._m))
+    v = property(lambda self: self._views(self._v))
 
     def step(self) -> None:
+        blocks = self._blocks("adam_step")
         self.step_count += 1
-        t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ShapeMismatchError(
-                    f"adam_step: grad shape {g.shape} != param shape {p.data.shape}"
-                )
-            p.grad = None  # spent; no gradient outlives its step
+        c1 = 1 - self.BETA1 ** self.step_count
+        c2 = 1 - self.BETA2 ** self.step_count
+        for s, g, a, b in blocks:
             # In place, with the operations and their order of
             # m = B1*m + (1-B1)*g; v = B2*v + (1-B2)*g*g;
             # p -= lr*mhat / (sqrt(vhat) + eps), so the bits are the same.
-            m, v = self.m[i], self.v[i]
+            m, v = self._m[s], self._v[s]
             m *= self.BETA1
-            m += (1 - self.BETA1) * g
+            m += np.multiply(g, 1 - self.BETA1, out=a)
             v *= self.BETA2
-            g2 = (1 - self.BETA2) * g
-            g2 *= g
-            v += g2
-            mhat = m / (1 - self.BETA1 ** t)
-            denom = v / (1 - self.BETA2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += self.EPS
-            mhat *= self.lr
-            mhat /= denom
-            p.data -= mhat
+            np.multiply(g, 1 - self.BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            np.sqrt(np.divide(v, c2, out=b), out=b)
+            b += self.EPS
+            a *= self.lr
+            a /= b
+            self._buf[s] -= a
 
 
-class SgdNesterovState:
+class SgdNesterovState(_Packed):
     """SGD with Nesterov momentum and decoupled-into-gradient weight decay."""
 
     def __init__(self, params: list[Tensor], lr: float,
                  momentum: float = 0.9, weight_decay: float = 1e-4):
-        self.params = params
+        super().__init__(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in params]
+        self._velocity = np.zeros_like(self._buf)
+
+    velocity = property(lambda self: self._views(self._velocity))
 
     def step(self) -> None:
         mu = self.momentum
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is not None and g.shape != p.data.shape:
-                raise ShapeMismatchError(
-                    f"sgd_nesterov_step: grad shape {g.shape} != param shape {p.data.shape}"
-                )
-            p.grad = None  # spent; no gradient outlives its step
+        for s, g, d, a in self._blocks("sgd_nesterov_step", missing_is_zero=True):
             # In place, with the operations and their order of
-            # d = g + wd*p; vel = mu*vel + d; d = d + mu*vel; p -= lr*d.
-            # A missing gradient is a zero one: adding 0.0 maps -0.0 to
-            # +0.0 exactly as adding a zeros array does.
-            d = self.weight_decay * p.data
-            d += 0.0 if g is None else g
+            # d = wd*p + g; vel = mu*vel + d; d = d + mu*vel; p -= lr*d.
+            p = self._buf[s]
+            np.multiply(p, self.weight_decay, out=d)
+            d += g
             if mu != 0.0:
-                vel = self.velocity[i]
+                vel = self._velocity[s]
                 vel *= mu
                 vel += d
-                d += mu * vel
+                d += np.multiply(vel, mu, out=a)
             d *= self.lr
-            p.data -= d
+            p -= d
 
 
 # -- rng ---------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .nets import (
     NumericalError,
     QuantizedMLP,
     accuracy,
+    check_counts,
     label_cross_entropy,
     one_hot,
 )
@@ -61,6 +62,9 @@ class HyperParams:
     disable: tuple = ()  # the LOSS_NAMES the generator loss leaves out
 
     def __post_init__(self):
+        check_counts(self)
+        if isinstance(self.disable, str):  # it would be read letter by letter
+            raise ValueError(f"disable must be a tuple of loss names, not {self.disable!r}")
         if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:
             raise ValueError(
                 f"need 0 <= lambda_l < lambda_u <= 1, got "

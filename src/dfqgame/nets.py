@@ -30,16 +30,28 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is malformed, truncated, or version-incompatible."""
 
 
+def check_counts(spec, error=ValueError) -> None:
+    """Raise `error` unless each field of the dataclass `spec` annotated as
+    a count (int, or tuple[int, ...]) holds ints; a bool is not a count."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in ("int", "tuple[int, ...]") and any(
+                isinstance(v, bool) or not isinstance(v, int)
+                for v in (value if isinstance(value, tuple) else (value,))):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture of P (and therefore Q): affine -> BN -> ReLU blocks."""
 
     input_dim: int = 20
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     class_count: int = 10
     batch_norm: bool = True
 
     def __post_init__(self):
+        check_counts(self)
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if not self.batch_norm or not self.hidden:
@@ -54,11 +66,12 @@ class GeneratorSpec:
     """Architecture of G: additive label embedding then BN-ReLU blocks."""
 
     noise_dim: int = 16
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     output_dim: int = 20
     class_count: int = 10
 
     def __post_init__(self):
+        check_counts(self)
         if min(self.noise_dim, self.output_dim, self.class_count, *self.hidden) < 1:
             raise ValueError(f"generator dims and widths must be >= 1, got {self}")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import game, nets
 from .engine import seeded_rng
-from .nets import GeneratorSpec, NetworkSpec, NumericalError
+from .nets import GeneratorSpec, NetworkSpec, NumericalError, check_counts
 from .quant import QuantConfig
 
 METRICS_HEADER = ("epoch,iter,l_ds,l_as,l_b,l_bns,l_g,l_q,"
@@ -49,6 +49,7 @@ class DatasetSpec:
     spread: float = 0.1125        # base within-class std; per-dim in [0.5x, 1.5x]
 
     def __post_init__(self):
+        check_counts(self, ConfigError)
         if self.class_count < 2 or self.class_count % 2 != 0:
             raise ConfigError("class_count must be even and >= 2")
         if self.input_dim < 1:
@@ -76,6 +77,7 @@ class ExperimentConfig:
     hp: game.HyperParams = field(default_factory=game.HyperParams)
 
     def __post_init__(self):
+        check_counts(self, ConfigError)
         if self.seed < 0:  # np.random.SeedSequence takes no negative seed
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eval_period < 1:

@@ -1,12 +1,14 @@
 """Tests for the autodiff engine: primitives, broadcasting, batch norm,
 optimizers, and the rng helpers."""
 
+import copy
 import operator
 
 import numpy as np
 import pytest
 
 from dfqgame.engine import (
+    BLOCK,
     AdamState,
     BatchNorm,
     SgdNesterovState,
@@ -234,6 +236,64 @@ class TestBackwardMechanics:
         t = Tensor([2.0], requires_grad=True)
         (t.detach() * t).sum().backward()
         np.testing.assert_array_equal(t.grad, [2.0])
+
+
+class TestGradientHandOver:
+    """A parent takes over a fresh first gradient instead of copying it,
+    and never holds an array that another node or a view shares."""
+
+    @staticmethod
+    def _capture(x, grad):
+        """A node over x whose grad function records out.grad and its result."""
+        seen = {}
+
+        def fn(g):
+            seen["upstream"], seen["result"] = g, grad(g)
+            return seen["result"]
+
+        return Tensor._node(x.data.copy(), (x,), fn), seen
+
+    @pytest.mark.parametrize("grad", [
+        lambda g: g,                                      # out.grad itself
+        lambda g: g.reshape(-1).reshape(g.shape),         # a reshape view
+        lambda g: np.broadcast_to(g.sum(axis=0), g.shape),  # a broadcast
+    ])
+    def test_shared_arrays_are_copied(self, grad):
+        x = Tensor(seeded_rng(0).standard_normal((3, 4)), requires_grad=True)
+        out, seen = self._capture(x, grad)
+        (out * Tensor(np.full((3, 4), -2.0))).sum().backward()
+        assert not np.shares_memory(x.grad, seen["upstream"])
+        assert not np.shares_memory(x.grad, seen["result"])
+        assert x.grad.flags.writeable and x.grad.base is None
+        assert x.grad.tobytes() == (np.asarray(seen["result"]) + 0.0).tobytes()
+
+    def test_fresh_array_is_taken_over(self):
+        x = Tensor([[-1.0, 2.0]], requires_grad=True)
+        out, seen = self._capture(x, lambda g: g * 0.0)  # -0.0 where g < 0
+        (out * Tensor([[-1.0, 1.0]])).sum().backward()
+        assert x.grad is seen["result"]
+        assert not np.signbit(x.grad).any()  # as g * 0.0 + 0.0 gives
+
+    def test_fresh_array_added_into_an_existing_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        x.grad = np.array([0.5, 0.5])
+        prior = x.grad
+        out, seen = self._capture(x, lambda g: g * 3.0)
+        out.sum().backward()
+        assert x.grad is prior and x.grad.tolist() == [3.5, 3.5]
+        assert seen["result"].tolist() == [3.0, 3.0]
+
+    def test_matmul_gradient_is_not_copied(self, monkeypatch):
+        rng = seeded_rng(1)
+        x = Tensor(rng.standard_normal((5, 4)))
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        copied = []
+        accumulate = Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda t, g: (copied.append(t), accumulate(t, g)))
+        (x @ w).sum().backward()
+        assert w not in copied
+        assert w.grad.tobytes() == (x.data.T @ np.ones((5, 3)) + 0.0).tobytes()
 
 
 # Reference gradients, written as the ops' hand-written backwards wrote
@@ -579,6 +639,95 @@ class TestOptimizersMatchReference:
             reference_nesterov_step(data, velocity, grads, 0.05, mu, weight_decay)
             self._assert_bitwise([t.data for t in params], data)
             self._assert_bitwise(opt.velocity, velocity)
+
+
+class TestBlockedStepMatchesReference(TestOptimizersMatchReference):
+    """The same reference checks over several blocks: a parameter larger
+    than one block, and a missing gradient inside a block."""
+
+    @staticmethod
+    def _params():
+        rng = seeded_rng(8)
+        a = rng.standard_normal((300, 200))  # three blocks and a part
+        a[0, :5] = -0.0
+        shapes = [(7,), (5, 3), (30,), (BLOCK,)]
+        assert a.size > BLOCK
+        return [Tensor(a, requires_grad=True)] + [
+            Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+    @staticmethod
+    def _grads(rng, params, step):
+        grads = [rng.standard_normal(t.shape) for t in params]
+        if step in (0, 3):
+            grads[2] = None  # between (7,) and (30,), in one block
+        if step in (1, 3):
+            grads[0] = None
+        return grads
+
+
+class TestPackedBuffer:
+    """A step leaves an optimizer's parameters as views of one buffer, also
+    after a rebinding or a deepcopy broke the views."""
+
+    @staticmethod
+    def _params():
+        rng = seeded_rng(9)
+        return [Tensor(rng.standard_normal(s), requires_grad=True)
+                for s in ((4, 3), (3,), ())]
+
+    @pytest.mark.parametrize("make", [
+        lambda ps: AdamState(ps, lr=0.1), lambda ps: SgdNesterovState(ps, lr=0.1)])
+    def test_a_step_packs_the_parameters_in_order(self, make):
+        params = self._params()
+        make(params).step()
+        base = params[0].data.base
+        assert base is not None and base.size == 16
+        assert all(t.data.base is base for t in params)
+        assert base.tobytes() == b"".join(t.data.tobytes() for t in params)
+
+    @pytest.mark.parametrize("make", [
+        lambda ps: AdamState(ps, lr=0.1), lambda ps: SgdNesterovState(ps, lr=0.1)])
+    def test_a_rebound_parameter_is_packed_again(self, make):
+        params, twin = self._params(), self._params()
+        opt, ref = make(params), make(twin)
+        opt.step()
+        ref.step()
+        new = np.full((4, 3), 0.25)
+        params[0].data = new
+        twin[0].data[...] = new
+        for t, u in zip(params, twin):
+            t.grad = u.grad = np.ones(t.shape)
+        opt.step()
+        ref.step()
+        assert params[0].data.base is params[1].data.base
+        assert [t.data.tobytes() for t in params] == [t.data.tobytes() for t in twin]
+        assert new.tolist() == np.full((4, 3), 0.25).tolist()  # not stepped
+
+    @pytest.mark.parametrize("make", [
+        lambda ps: AdamState(ps, lr=0.1), lambda ps: SgdNesterovState(ps, lr=0.1)])
+    def test_a_shape_mismatch_spends_and_moves_nothing(self, make):
+        params = self._params()
+        opt = make(params)
+        before = [t.data.tobytes() for t in params]
+        params[0].grad, params[1].grad = np.ones((4, 3)), np.ones(4)
+        with pytest.raises(ShapeMismatchError, match=r"\(4,\) != param shape \(3,\)"):
+            opt.step()
+        assert params[0].grad is not None
+        assert [t.data.tobytes() for t in params] == before
+
+    def test_a_deep_copy_steps_its_own_tensors(self):
+        params = self._params()
+        opt = AdamState(params, lr=0.1)
+        opt.step()
+        twin = copy.deepcopy((params, opt))
+        before = [t.data.tobytes() for t in params]
+        for t in twin[0]:
+            t.grad = np.ones(t.shape)
+        twin[1].step()
+        assert [t.data.tobytes() for t in params] == before
+        assert all((t.data < np.frombuffer(b).reshape(t.shape)).all()
+                   for t, b in zip(twin[0], before))
+        assert all(t.data.base is twin[1].params[0].data.base for t in twin[0])
 
 
 class TestRng:

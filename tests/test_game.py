@@ -87,6 +87,19 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(bns_stat="kurtosis")
 
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "iters_per_epoch",
+                                      "lr_decay_period"])
+    @pytest.mark.parametrize("value", [16.0, 2.5, True, "16"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HyperParams(**{name: value})
+
+    def test_disable_string_rejected(self):
+        # a bare string would be read letter by letter
+        with pytest.raises(ValueError, match="tuple of loss names, not 'L_b'"):
+            HyperParams(disable="L_b")
+        assert HyperParams(disable=("L_b",)).disable == ("L_b",)
+
 
 class TestLosses:
     def test_loss_ds_is_cross_entropy(self):
@@ -515,6 +528,24 @@ class TestBgHalvingTrial:
             == [repr(astuple(bg)) for bg in plain]
         assert [a.tobytes() for _, a in g.named_arrays() + q.named_arrays()] \
             == [a.tobytes() for _, a in g_plain.named_arrays() + q_plain.named_arrays()]
+
+    def test_a_deep_copied_state_steps_its_own_players(self, trained_setup):
+        """The detour's copy: its optimizers step the copy's tensors, though
+        a deepcopy turns every view of a packed buffer into its own array."""
+        p, _ = trained_setup
+        q, g = fresh_players(p)
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        half = copy.deepcopy(state)
+        players = lambda s: s.g.parameters() + s.q.parameters()
+        before = [t.data.tobytes() for t in players(state)]
+        z, y = draw_batch(seeded_rng(1), 8, 5, 4)
+        maximization_step(half, z, y)
+        minimization_step(half, z, y)
+        assert [t.data.tobytes() for t in players(state)] == before
+        moved = [t.data.tobytes() != b for t, b in zip(players(half), before)]
+        assert moved[0] and all(moved[len(g.parameters()):])
+        assert not any(np.shares_memory(a.data, b.data)
+                       for a, b in zip(players(half), players(state)))
 
     def test_produces_paired_records(self, trained_setup):
         p, _ = trained_setup

@@ -66,6 +66,15 @@ class TestSpecs:
         with pytest.raises(ValueError):
             NetworkSpec(class_count=1)
 
+    @pytest.mark.parametrize("spec, name, value", [
+        (NetworkSpec, "input_dim", 20.0), (NetworkSpec, "hidden", (64.5, 64)),
+        (NetworkSpec, "class_count", True), (GeneratorSpec, "noise_dim", 16.0),
+        (GeneratorSpec, "hidden", (64, True)), (GeneratorSpec, "output_dim", 1.5),
+        (GeneratorSpec, "class_count", 10.0)])
+    def test_counts_must_be_integers(self, spec, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            spec(**{name: value})
+
     def test_batch_norm_required(self):
         with pytest.raises(ValueError):
             NetworkSpec(batch_norm=False)

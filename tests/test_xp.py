@@ -177,6 +177,19 @@ class TestConfigFiles:
                        if (attr, name) not in derived}
             assert not missing, (attr, missing)
 
+    @pytest.mark.parametrize("name", ["seed", "eval_period", "pretrain_epochs",
+                                      "pretrain_batch"])
+    @pytest.mark.parametrize("value", [1.5, 3.0, True])
+    def test_counts_checked_without_the_parser(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(default_config(), **{name: value})
+
+    @pytest.mark.parametrize("name", ["class_count", "input_dim",
+                                      "samples_per_class"])
+    def test_dataset_counts_must_be_integers(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            DatasetSpec(**{name: 20.0})
+
     def test_bits_checked_without_the_parser(self):
         for bits in (1, 3.5, np.int64(3)):  # QuantConfig's check, as ConfigError
             with pytest.raises(ConfigError):
