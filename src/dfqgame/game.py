@@ -317,7 +317,8 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
 
     eval_data: optional (x, labels) held-out arrays; Q accuracy is logged
     every `eval_period` epochs (and on the final iteration). A
-    NumericalError names the epoch and iteration it was raised in.
+    NumericalError names the epoch and iteration it was raised in, and
+    carries the game state as `state`.
     """
     state = init_game(p, q, g, hp, rng)
 
@@ -331,7 +332,9 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
             try:
                 log = play_iteration(state, draw(), draw(), epoch, it)
             except NumericalError as e:
-                raise NumericalError(f"epoch {epoch}, iteration {it}: {e}") from None
+                err = NumericalError(f"epoch {epoch}, iteration {it}: {e}")
+                err.state = state  # its logs are the iterations before this one
+                raise err from None
             last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
             if eval_data is not None and (
                     (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)

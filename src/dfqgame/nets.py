@@ -100,11 +100,19 @@ class Memo:
 
     def get(self, arrays, compute):
         """The kept value while `arrays` equal the kept copies, else
-        `compute()`, kept with copies of `arrays`. A raising `compute`
-        keeps the old key and value."""
-        if not (self._key is not None and len(self._key) == len(arrays)
-                and all(map(np.array_equal, self._key, arrays))):
-            self._value = compute()
+        `compute()`, kept with copies of `arrays`: written into the old
+        copies when their shapes and dtypes match, fresh otherwise. A
+        raising `compute` keeps the old key and value."""
+        key = self._key
+        paired = key is not None and len(key) == len(arrays)
+        if paired and all(map(np.array_equal, key, arrays)):
+            return self._value
+        self._value = compute()
+        if paired and all(k.shape == a.shape and k.dtype == a.dtype
+                          for k, a in zip(key, arrays)):
+            for k, a in zip(key, arrays):
+                np.copyto(k, a)
+        else:
             self._key = [a.copy() for a in arrays]
         return self._value
 

@@ -268,7 +268,9 @@ def pretrain(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """pretrain P -> init Q -> play the game -> evaluate; writes metrics,
-    checkpoints and a summary into config.out_dir."""
+    checkpoints and a summary into config.out_dir. A game that raises
+    NumericalError leaves the metrics of its finished iterations and no
+    Q or G checkpoint or summary."""
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "config.ini"), "w") as f:
         f.write(config_to_text(config))
@@ -280,12 +282,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     q_init_acc = nets.accuracy(q, test_x, test_y)
     g = nets.Generator(config.generator,
                        seeded_rng(_stream_seed(config.seed, 3)))
-    state = game.run_game(p, q, g, config.hp, seeded_rng(config.seed),
-                          eval_data=(test_x, test_y),
-                          eval_period=config.eval_period)
+    metrics = os.path.join(config.out_dir, "metrics.csv")
+    try:
+        state = game.run_game(p, q, g, config.hp, seeded_rng(config.seed),
+                              eval_data=(test_x, test_y),
+                              eval_period=config.eval_period)
+    except NumericalError as e:
+        emit_metrics(e.state, metrics)  # the finished iterations, no more
+        raise
 
     q_final_acc = nets.accuracy(q, test_x, test_y)
-    emit_metrics(state, os.path.join(config.out_dir, "metrics.csv"))
+    emit_metrics(state, metrics)
     nets.save_checkpoint(q, os.path.join(config.out_dir, "q.ckpt"))
     nets.save_checkpoint(g, os.path.join(config.out_dir, "g.ckpt"))
 

@@ -60,6 +60,51 @@ class TestMemo:
         a -= 1.0
         assert memo.get([a], diverge) == "first"
 
+    def test_a_same_shape_miss_writes_into_the_kept_copies(self):
+        memo, a, b = Memo(), np.arange(6.0).reshape(2, 3), np.arange(4)
+        memo.get([a, b], lambda: "first")
+        kept = list(memo._key)
+        a[0, 0], b[1] = 9.0, 7
+        assert memo.get([a, b], lambda: "second") == "second"
+        assert all(k is c for k, c in zip(memo._key, kept))
+        assert all(np.array_equal(k, c) for k, c in zip(kept, (a, b)))
+
+    @pytest.mark.parametrize("changed", [
+        [np.arange(6.0), np.arange(4)],          # a shape
+        [np.arange(6.0).reshape(2, 3), np.arange(4.0) + 0.5],  # a dtype
+        [np.arange(6.0).reshape(2, 3)],          # the number of arrays
+    ], ids=["shape", "dtype", "count"])
+    def test_a_changed_layout_takes_fresh_copies(self, changed):
+        memo = Memo()
+        memo.get([np.arange(6.0).reshape(2, 3), np.arange(4)], lambda: "first")
+        kept = list(memo._key)
+        assert memo.get(changed, lambda: "second") == "second"
+        assert not any(k is c for k in memo._key for c in kept)
+        assert [(k.shape, k.dtype) for k in memo._key] == [
+            (c.shape, c.dtype) for c in changed]
+        assert memo.get(changed, lambda: "third") == "second"
+
+    def test_the_keys_stay_private_copies(self):
+        memo, a = Memo(), np.zeros(5)
+        memo.get([a], lambda: "first")
+        a += 1.0
+        assert memo.get([a], lambda: "second") == "second"  # copied in place
+        a[2] = -1.0  # the caller's later in-place write is still seen
+        assert memo.get([a], lambda: "third") == "third"
+        assert not any(np.shares_memory(k, a) for k in memo._key)
+
+    def test_a_wide_same_shape_miss_allocates_no_copy(self):
+        memo, w = Memo(), seeded_rng(0).standard_normal((512, 512))
+        memo.get([w], lambda: "first")
+        w *= 0.5
+        tracemalloc.start()
+        try:
+            assert memo.get([w], lambda: "second") == "second"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * w.nbytes  # a fresh copy of the key is 2 MB
+
 
 class TestSpecs:
     def test_class_count_validated(self):

@@ -1,10 +1,13 @@
 """Tests for the symmetric linear quantizer and the straight-through
 fake-quantization wrapper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dfqgame.engine import Tensor, seeded_rng
+from dfqgame import quant
+from dfqgame.engine import BLOCK, Tensor, seeded_rng
 from dfqgame.quant import (
     QuantConfig,
     fake_quantize,
@@ -114,3 +117,94 @@ class TestFakeQuantize:
         err2 = np.abs(fake_quantize_array(x, 2) - x).mean()
         err8 = np.abs(fake_quantize_array(x, 8) - x).mean()
         assert err8 < err2
+
+
+def _reference(theta, bits):
+    return dequantize(quantize(theta, bits))
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros and NaNs count."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlockedFakeQuantize:
+    """fake_quantize_array runs the reference round trip block by block;
+    its result must be the reference's, bit for bit."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    @pytest.mark.parametrize("shape", [(512, 512), (300, 512), (16, 64), (1,),
+                                       (BLOCK,), (BLOCK - 1,), (BLOCK + 1,)])
+    def test_random_arrays_match_the_reference(self, bits, shape):
+        rng = seeded_rng(100 * bits + len(shape))
+        for theta in (rng.standard_normal(shape),
+                      rng.uniform(-1e-3, 5e-3, shape),
+                      np.round(rng.standard_normal(shape) * 4) / 8):
+            assert _same_bits(fake_quantize_array(theta, bits),
+                              _reference(theta, bits))
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_exact_ties_match_the_reference(self, bits):
+        # range [0, 2^bits - 1] gives unit steps: every half-integer scales
+        # to an exact .5 tie, on both sides of code 0
+        theta = np.arange(2 * (2 ** bits - 1) + 1) / 2.0
+        out = fake_quantize_array(theta, bits)
+        assert _same_bits(out, _reference(theta, bits))
+        assert out[1] == 0.0 and out[-2] == 2 ** bits - 1  # away from zero
+
+    @pytest.mark.parametrize("theta", [
+        np.full((3, 3), 2.5), np.full((512, 512), -1.0), np.array([-0.0, 0.0]),
+        np.array([-0.0, 0.0, 1.0, -1.0]), np.array([0.0, -0.0, 3.0]),
+        np.array([7.0])], ids=lambda t: f"{t.size}:{t.flat[0]!r}")
+    @pytest.mark.parametrize("bits", [2, 3, 8])
+    def test_constants_and_signed_zeros_match_the_reference(self, theta, bits):
+        assert _same_bits(fake_quantize_array(theta, bits),
+                          _reference(theta, bits))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN to int64
+    @pytest.mark.parametrize("values", [
+        [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [-np.inf, 0.0, 1.0],
+        [np.inf, np.inf], [-np.inf, np.inf], [np.nan], [-1e308, 1e308]])
+    def test_non_finite_ranges_take_the_reference_path(self, values,
+                                                       monkeypatch):
+        calls = []
+
+        def spy(theta, bits):
+            calls.append(bits)
+            return quantize(theta, bits)
+
+        monkeypatch.setattr(quant, "quantize", spy)
+        big = seeded_rng(9).standard_normal((512, 512))
+        big.reshape(-1)[::100_003][:len(values)] = values
+        for theta in (np.array(values), big):
+            assert _same_bits(fake_quantize_array(theta, 3),
+                              _reference(theta, 3))
+        assert calls == [3, 3]
+
+    def test_finite_ranges_skip_the_reference_path(self, monkeypatch):
+        monkeypatch.setattr(quant, "quantize", None)  # any call would raise
+        fake_quantize_array(seeded_rng(10).standard_normal((300, 512)), 3)
+
+    def test_non_contiguous_and_integer_inputs(self):
+        theta = seeded_rng(11).standard_normal((200, 300))
+        for view in (theta.T, theta[::3, 1::2]):
+            assert _same_bits(fake_quantize_array(view, 4), _reference(view, 4))
+        codes = np.arange(-50, 50)
+        assert _same_bits(fake_quantize_array(codes, 5), _reference(codes, 5))
+
+    def test_empty_and_bad_bits_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fake_quantize_array(np.array([]), 4)
+        with pytest.raises(ValueError, match="bits"):
+            fake_quantize_array(np.zeros(4), 9)
+
+    def test_wide_weight_allocates_one_result(self):
+        theta = seeded_rng(12).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            out = fake_quantize_array(theta, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * theta.nbytes  # the 2 MB result and a block
+        assert _same_bits(out, _reference(theta, 3))

@@ -452,7 +452,12 @@ class TestCli:
         assert cli.main(["train", "--config", ini]) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical abort: epoch 0, iteration 1: " in err
-        nets.load_checkpoint(tmp_path / "out" / "p.ckpt")
+        out = tmp_path / "out"
+        nets.load_checkpoint(out / "p.ckpt")
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert rows[0] == xp.METRICS_HEADER
+        assert [r.split(",")[:2] for r in rows[1:]] == [["0", "0"]]
+        assert sorted(os.listdir(out)) == ["config.ini", "metrics.csv", "p.ckpt"]
 
     def test_flag_overrides_config(self, tmp_path):
         ini = self._tiny_ini(tmp_path)
