@@ -317,8 +317,6 @@ def softmax(z: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     t = z.data * inv_t
     e = np.exp(t - t.max(axis=axis, keepdims=True))
     s = e.sum(axis=axis, keepdims=True)
-    if np.any(s == 0.0):
-        raise ZeroDivisionError("div: divisor tensor contains zero")
 
     def grad(g):
         ge = g / s
@@ -371,10 +369,7 @@ class BatchNorm:
                 m = self.MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * mu
                 self.running_var = (1 - m) * self.running_var + m * var
-            var_eps = var + self.EPS
-            if np.any(var_eps < 0.0):
-                raise ValueError("sqrt: input must be non-negative")
-            std = np.sqrt(var_eps)
+            std = np.sqrt(var + self.EPS)
         elif mode == "eval":
             d = Tensor._broadcast(np.subtract, x.data, self.running_mean)
             std = np.sqrt(self.running_var + self.EPS)

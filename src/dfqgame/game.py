@@ -33,7 +33,7 @@ from .nets import (
     NumericalError,
     QuantizedMLP,
     accuracy,
-    check_counts,
+    check_fields,
     label_cross_entropy,
     one_hot,
 )
@@ -62,32 +62,17 @@ class HyperParams:
     disable: tuple = ()  # the LOSS_NAMES the generator loss leaves out
 
     def __post_init__(self):
-        check_counts(self)
+        check_fields(self, at_least={
+            "alpha": 0, "beta": 0, "gamma": 0, "lr_g": 0, "lr_q": 0,
+            "batch_size": 2,  # batch norm needs two samples
+            "epochs": 0, "iters_per_epoch": 0, "lr_decay_factor": 0,
+            "lr_decay_period": 0}, above={"tau": 0})
         if isinstance(self.disable, str):  # it would be read letter by letter
             raise ValueError(f"disable must be a tuple of loss names, not {self.disable!r}")
         if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:
             raise ValueError(
                 f"need 0 <= lambda_l < lambda_u <= 1, got "
                 f"({self.lambda_l}, {self.lambda_u})")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if not all(math.isfinite(lr) and lr >= 0.0 for lr in (self.lr_g, self.lr_q)):
-            raise ValueError(f"learning rates must be finite and >= 0, got "
-                             f"lr_g={self.lr_g}, lr_q={self.lr_q}")
-        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor >= 0.0):
-            raise ValueError(f"lr_decay_factor must be finite and >= 0, got "
-                             f"{self.lr_decay_factor}")
-        if min(self.epochs, self.iters_per_epoch, self.lr_decay_period) < 0:
-            raise ValueError(
-                f"loop counts must be >= 0, got epochs={self.epochs}, iters_per_epoch="
-                f"{self.iters_per_epoch}, lr_decay_period={self.lr_decay_period}")
-        if self.batch_size < 2:
-            raise ValueError(
-                f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
-        if not all(math.isfinite(w) and w >= 0.0
-                   for w in (self.alpha, self.beta, self.gamma)):
-            raise ValueError(f"loss weights must be finite and >= 0, got alpha="
-                             f"{self.alpha}, beta={self.beta}, gamma={self.gamma}")
         if self.bns_stat not in ("variance", "std"):
             raise ValueError(f"bns_stat must be variance|std, got {self.bns_stat}")
         unknown = set(self.disable) - set(LOSS_NAMES)

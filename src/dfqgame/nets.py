@@ -5,6 +5,8 @@ and the label-conditioned generator G, plus checkpoint I/O.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import struct
 from dataclasses import dataclass, fields
 
@@ -30,15 +32,25 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is malformed, truncated, or version-incompatible."""
 
 
-def check_counts(spec, error=ValueError) -> None:
-    """Raise `error` unless each field of the dataclass `spec` annotated as
-    a count (int, or tuple[int, ...]) holds ints; a bool is not a count."""
+def check_fields(spec, error=ValueError, at_least=None, above=None) -> None:
+    """Raise `error` unless each field of the dataclass `spec` holds what its
+    annotation admits: ints in a count (`int` or `tuple[int, ...]`; a bool
+    is not a count) and a finite number in a `float`. A field named in
+    `at_least` (or `above`) must be >= (or >) its bound there, every entry
+    of a tuple."""
+    rules = ((">=", operator.ge, at_least or {}), (">", operator.gt, above or {}))
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type in ("int", "tuple[int, ...]") and any(
-                isinstance(v, bool) or not isinstance(v, int)
-                for v in (value if isinstance(value, tuple) else (value,))):
+        entries = value if f.type == "tuple[int, ...]" else (value,)
+        if f.type in ("int", "tuple[int, ...]") and (
+                not isinstance(entries, tuple) or any(
+                    isinstance(v, bool) or not isinstance(v, int) for v in entries)):
             raise error(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
+        for op, holds, bounds in rules:
+            if f.name in bounds and not all(holds(v, bounds[f.name]) for v in entries):
+                raise error(f"{f.name} must be {op} {bounds[f.name]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,14 +63,10 @@ class NetworkSpec:
     batch_norm: bool = True
 
     def __post_init__(self):
-        check_counts(self)
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
+        # a width of 0 divides by 0
+        check_fields(self, at_least={"input_dim": 1, "hidden": 1, "class_count": 2})
         if not self.batch_norm or not self.hidden:
             raise ValueError("architecture needs at least one BN layer")
-        if min(self.input_dim, *self.hidden) < 1:  # a width of 0 divides by 0
-            raise ValueError(f"input_dim and hidden widths must be >= 1, got "
-                             f"{self.input_dim} and {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,8 @@ class GeneratorSpec:
     class_count: int = 10
 
     def __post_init__(self):
-        check_counts(self)
-        if min(self.noise_dim, self.output_dim, self.class_count, *self.hidden) < 1:
-            raise ValueError(f"generator dims and widths must be >= 1, got {self}")
+        check_fields(self, at_least=dict.fromkeys(
+            ("noise_dim", "hidden", "output_dim", "class_count"), 1))
 
 
 @dataclass
@@ -99,17 +106,17 @@ class Memo:
         self._value = None
 
     def get(self, arrays, compute):
-        """The kept value while `arrays` equal the kept copies, else
-        `compute()`, kept with copies of `arrays`: written into the old
-        copies when their shapes and dtypes match, fresh otherwise. A
-        raising `compute` keeps the old key and value."""
+        """The kept value while `arrays` have the kept copies' shapes,
+        dtypes and values, else `compute()`, kept with copies of `arrays`:
+        written into the old copies when their shapes and dtypes match,
+        fresh otherwise. A raising `compute` keeps the old key and value."""
         key = self._key
-        paired = key is not None and len(key) == len(arrays)
-        if paired and all(map(np.array_equal, key, arrays)):
+        same_layout = key is not None and len(key) == len(arrays) and all(
+            k.shape == a.shape and k.dtype == a.dtype for k, a in zip(key, arrays))
+        if same_layout and all(map(np.array_equal, key, arrays)):
             return self._value
         self._value = compute()
-        if paired and all(k.shape == a.shape and k.dtype == a.dtype
-                          for k, a in zip(key, arrays)):
+        if same_layout:
             for k, a in zip(key, arrays):
                 np.copyto(k, a)
         else:
@@ -302,8 +309,6 @@ def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
         raise ValueError("label_cross_entropy: labels must not require a gradient")
     mask = p.data > 1e-12
     c = np.where(mask, p.data, 1e-12)
-    if np.any(c <= 0.0):
-        raise ValueError("log: input must be strictly positive")
     log_c = np.log(c)
     prod = Tensor._broadcast(np.multiply, y.data, log_c)
     rows = prod.sum(axis=-1)

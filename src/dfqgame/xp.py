@@ -9,7 +9,6 @@ from __future__ import annotations
 import configparser
 import io
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import game, nets
 from .engine import seeded_rng
-from .nets import GeneratorSpec, NetworkSpec, NumericalError, check_counts
+from .nets import GeneratorSpec, NetworkSpec, NumericalError, check_fields
 from .quant import QuantConfig
 
 METRICS_HEADER = ("epoch,iter,l_ds,l_as,l_b,l_bns,l_g,l_q,"
@@ -49,17 +48,11 @@ class DatasetSpec:
     spread: float = 0.1125        # base within-class std; per-dim in [0.5x, 1.5x]
 
     def __post_init__(self):
-        check_counts(self, ConfigError)
-        if self.class_count < 2 or self.class_count % 2 != 0:
-            raise ConfigError("class_count must be even and >= 2")
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.samples_per_class < 20:
-            raise ConfigError("samples_per_class must be >= 20")
-        if not all(math.isfinite(v) and v > 0.0
-                   for v in (self.cluster_scale, self.pair_offset, self.spread)):
-            raise ConfigError("cluster_scale, pair_offset and spread must be "
-                              "finite and positive")
+        check_fields(self, ConfigError,
+                     at_least={"class_count": 2, "input_dim": 1, "samples_per_class": 20},
+                     above=dict.fromkeys(("cluster_scale", "pair_offset", "spread"), 0))
+        if self.class_count % 2:
+            raise ConfigError(f"class_count must be even, got {self.class_count}")
 
 
 @dataclass
@@ -77,11 +70,10 @@ class ExperimentConfig:
     hp: game.HyperParams = field(default_factory=game.HyperParams)
 
     def __post_init__(self):
-        check_counts(self, ConfigError)
-        if self.seed < 0:  # np.random.SeedSequence takes no negative seed
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.eval_period < 1:
-            raise ConfigError(f"eval_period must be >= 1, got {self.eval_period}")
+        check_fields(self, ConfigError, at_least={
+            "seed": 0,  # np.random.SeedSequence takes no negative seed
+            "eval_period": 1, "pretrain_epochs": 0, "pretrain_lr": 0,
+            "pretrain_batch": 2})  # batch norm needs two samples
         try:
             QuantConfig(bits=self.bits)
         except ValueError as e:
@@ -91,15 +83,6 @@ class ExperimentConfig:
                 and d.class_count == n.class_count == g.class_count):
             raise ConfigError("network and generator must match the dataset's "
                               "input_dim and class_count")
-        if self.pretrain_epochs < 0:
-            raise ConfigError(
-                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.pretrain_batch < 2:  # batch norm needs two samples
-            raise ConfigError(
-                f"pretrain_batch must be >= 2, got {self.pretrain_batch}")
-        if not (math.isfinite(self.pretrain_lr) and self.pretrain_lr >= 0.0):
-            raise ConfigError(
-                f"pretrain_lr must be finite and >= 0, got {self.pretrain_lr}")
 
 
 def synth_dataset(spec: DatasetSpec, seed: int):

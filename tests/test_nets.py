@@ -84,6 +84,12 @@ class TestMemo:
             (c.shape, c.dtype) for c in changed]
         assert memo.get(changed, lambda: "third") == "second"
 
+    def test_equal_values_in_another_dtype_miss(self):
+        memo = Memo()
+        memo.get([np.arange(4)], lambda: "int")
+        assert memo.get([np.arange(4.0)], lambda: "float") == "float"
+        assert memo._key[0].dtype == np.float64
+
     def test_the_keys_stay_private_copies(self):
         memo, a = Memo(), np.zeros(5)
         memo.get([a], lambda: "first")

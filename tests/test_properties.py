@@ -1,15 +1,17 @@
-"""Property tests over inputs from outside the program: checkpoint files
-and config files. Derandomized, so every run draws the same examples."""
+"""Property tests over inputs from outside the program: checkpoint files,
+config files and configs built through the Python API. Derandomized, so
+every run draws the same examples."""
 
 import configparser
 import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfqgame import cli
+from dfqgame import cli, xp
 from dfqgame.engine import seeded_rng
 from dfqgame.game import LOSS_NAMES, HyperParams
 from dfqgame.nets import (
@@ -18,12 +20,13 @@ from dfqgame.nets import (
     GeneratorSpec,
     MLP,
     NetworkSpec,
+    NumericalError,
     init_q_from_p,
     load_checkpoint,
     save_checkpoint,
 )
 from dfqgame.quant import QuantConfig
-from dfqgame.xp import ExperimentConfig, config_to_text, parse_config
+from dfqgame.xp import DatasetSpec, ExperimentConfig, config_to_text, parse_config
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
 SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=4)
@@ -140,3 +143,81 @@ def test_config_text_round_trips(**hp):
     out included, so a run's file replays it."""
     cfg = ExperimentConfig(hp=HyperParams(**hp))
     assert parse_config(config_to_text(cfg)) == cfg
+
+
+# what the parser never hands over: bools and floats in count fields, and
+# values past a bound or non-finite
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_A_COUNT = st.sampled_from([True, False, 2.0, 2.5])
+
+
+def seldom(valid, invalid):
+    """`valid` 39 draws in 40, else `invalid`; with the 30 fields of an
+    ExperimentConfig drawn this way, about half of the configs are
+    accepted and run."""
+    return st.sampled_from([valid] * 39 + [invalid]).flatmap(lambda s: s)
+
+
+def count(low, high):
+    return seldom(st.integers(low, high), NOT_A_COUNT | st.integers(low - 2, low - 1))
+
+
+def weight(high, low=0.0):
+    """A float in [low, high] or a huge one, else a float below `low` or a
+    non-finite one; a `low` of 5e-324 makes the bound strict."""
+    valid = st.floats(low, high) | st.sampled_from([low, 1e200])
+    return seldom(valid, st.floats(-1.0, low, exclude_max=True) | NOT_FINITE)
+
+
+def positive(high):
+    return weight(high, low=5e-324)
+
+
+def widths(high):
+    entries = st.integers(1, high) | st.integers(-1, 0) | NOT_A_COUNT
+    return seldom(st.lists(st.integers(1, high), min_size=1, max_size=2).map(tuple),
+                  st.lists(entries, max_size=2).map(tuple))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_an_api_config_is_refused_or_runs_or_diverges(workdir, data):
+    """Every ExperimentConfig built in code either raises ValueError when it
+    is built, or runs: run_experiment returns or raises NumericalError."""
+    draw = data.draw
+    classes = draw(seldom(st.sampled_from([2, 4]), st.sampled_from([3, 1, True, 4.0])))
+    dims = draw(count(1, 4))
+    try:
+        dataset = DatasetSpec(
+            class_count=classes, input_dim=dims,
+            samples_per_class=draw(count(20, 21)),
+            cluster_scale=draw(positive(2.0)), pair_offset=draw(positive(1.0)),
+            spread=draw(positive(1.0)))
+        network = NetworkSpec(input_dim=dims, hidden=draw(widths(4)),
+                              class_count=classes)
+        generator = GeneratorSpec(noise_dim=draw(count(1, 4)), hidden=draw(widths(4)),
+                                  output_dim=dims, class_count=classes)
+        lambda_l = draw(seldom(st.floats(0.0, 0.5), BAD_FLOAT))
+        lambda_u = draw(seldom(st.floats(0.5, 1.0, exclude_min=True), BAD_FLOAT))
+        hp = HyperParams(
+            alpha=draw(weight(2.0)), beta=draw(weight(2.0)), gamma=draw(weight(2.0)),
+            lambda_l=lambda_l, lambda_u=lambda_u, tau=draw(positive(10.0)),
+            lr_g=draw(weight(0.1)), lr_q=draw(weight(0.1)),
+            batch_size=draw(count(2, 4)), epochs=draw(count(0, 1)),
+            iters_per_epoch=draw(count(0, 2)), lr_decay_factor=draw(weight(1.0)),
+            lr_decay_period=draw(count(0, 1)),
+            bns_stat=draw(st.sampled_from(["variance", "std"])),
+            disable=tuple(draw(DISABLE)))
+        config = ExperimentConfig(
+            seed=draw(count(0, 2**32)), bits=draw(count(2, 8)),
+            out_dir=str(workdir / "api"), eval_period=draw(count(1, 2)),
+            pretrain_epochs=draw(count(0, 1)), pretrain_lr=draw(weight(0.1)),
+            pretrain_batch=draw(count(2, 64)), dataset=dataset, network=network,
+            generator=generator, hp=hp)
+    except ValueError:  # ConfigError is a ValueError
+        return
+    try:
+        with np.errstate(all="ignore"):  # a huge rate or scale overflows
+            xp.run_experiment(config)
+    except NumericalError:
+        pass
