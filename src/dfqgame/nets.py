@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -35,9 +37,9 @@ class CheckpointError(RuntimeError):
 def check_fields(spec, error=ValueError, at_least=None, above=None) -> None:
     """Raise `error` unless each field of the dataclass `spec` holds what its
     annotation admits: ints in a count (`int` or `tuple[int, ...]`; a bool
-    is not a count) and a finite number in a `float`. A field named in
-    `at_least` (or `above`) must be >= (or >) its bound there, every entry
-    of a tuple."""
+    is not a count), a finite real number in a `float` and a string or a
+    path in a `str`. A field named in `at_least` (or `above`) must be >=
+    (or >) its bound there, every entry of a tuple."""
     rules = ((">=", operator.ge, at_least or {}), (">", operator.gt, above or {}))
     for f in fields(spec):
         value = getattr(spec, f.name)
@@ -46,8 +48,11 @@ def check_fields(spec, error=ValueError, at_least=None, above=None) -> None:
                 not isinstance(entries, tuple) or any(
                     isinstance(v, bool) or not isinstance(v, int) for v in entries)):
             raise error(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
+        if f.type == "float" and not (isinstance(value, numbers.Real)
+                                      and math.isfinite(value)):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+        if f.type == "str" and not isinstance(value, (str, os.PathLike)):
+            raise error(f"{f.name} must be a string or a path, got {value!r}")
         for op, holds, bounds in rules:
             if f.name in bounds and not all(holds(v, bounds[f.name]) for v in entries):
                 raise error(f"{f.name} must be {op} {bounds[f.name]}, got {value}")
@@ -399,43 +404,31 @@ _KINDS = {
     "quantized_mlp": (QuantizedMLP, NetworkSpec),
     "generator": (Generator, GeneratorSpec),
 }
-_HEADER_KEYS = {"kind", "spec", "quant_bits", "arrays"}
 
 
-def save_checkpoint(net, path) -> None:
+def _header(net) -> dict:
+    """The header of `net`'s checkpoint: the one a loaded file must hold."""
     kind = next((k for k, (cls, _) in _KINDS.items() if type(net) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(net).__name__}")
-    arrays = net.named_arrays()
     cfg = getattr(net, "cfg", None)
-    header = {
+    return {
         "kind": kind,
         "spec": net.spec.__dict__ | {},
         "quant_bits": None if cfg is None else cfg.bits,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in net.named_arrays()],
     }
-    blob = json.dumps(header).encode("utf-8")
+
+
+def save_checkpoint(net, path) -> None:
+    blob = json.dumps(_header(net)).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for _, a in arrays:
+        for _, a in net.named_arrays():
             f.write(a.astype("<f8").tobytes())
-
-
-def _spec(header: dict):
-    """The network class and the validated spec a header describes."""
-    if set(header) != _HEADER_KEYS:
-        raise CheckpointError(f"header keys {sorted(header)} != {sorted(_HEADER_KEYS)}")
-    if header["kind"] not in _KINDS:
-        raise CheckpointError(f"unknown network kind {header['kind']!r}")
-    cls, spec_cls = _KINDS[header["kind"]]
-    spec = header["spec"]
-    expected = {f.name for f in fields(spec_cls)}
-    if set(spec) != expected:
-        raise CheckpointError(f"spec keys {sorted(spec)} != {sorted(expected)}")
-    return cls, spec_cls(**{**spec, "hidden": tuple(spec["hidden"])})
 
 
 def _value_count(cls, spec) -> int:
@@ -450,8 +443,9 @@ def _value_count(cls, spec) -> int:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; anything but a well-formed file, with every
-    array of its network exactly once, raises CheckpointError."""
+    """Read a checkpoint. A file is valid only if it holds the header
+    `save_checkpoint` writes for the network it names and then exactly that
+    network's values; anything else raises CheckpointError."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != _MAGIC:
@@ -460,40 +454,26 @@ def load_checkpoint(path):
     if version != _VERSION:
         raise CheckpointError(f"unsupported format version {version}")
     (hlen,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + hlen:
-        raise CheckpointError("truncated header")
     try:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-        cls, spec = _spec(header)
-        if _value_count(cls, spec) > (len(raw) - 16 - hlen) // 8:
-            raise CheckpointError("header describes more values than the file holds")
+        cls, spec_cls = _KINDS[header["kind"]]
+        spec = spec_cls(**{**header["spec"], "hidden": tuple(header["spec"]["hidden"])})
+        # before the network exists, so an oversized header allocates nothing
+        if len(raw) != 16 + hlen + 8 * _value_count(cls, spec):
+            raise CheckpointError("file length does not match its header")
         if cls is QuantizedMLP:
             bits = header["quant_bits"]
             net = cls(spec, None if bits is None else QuantConfig(bits=bits))
         else:
             net = cls(spec)
-        entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"corrupt header: {e}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed header: {e!r}") from None
-
-    targets = dict(net.named_arrays())
-    offset = 16 + hlen
-    for name, shape in entries:
-        dst = targets.pop(name, None)
-        if dst is None:
-            raise CheckpointError(f"unexpected or repeated array {name!r}")
-        if dst.shape != shape:
-            raise CheckpointError(
-                f"array {name!r}: shape {shape} != expected {dst.shape}")
-        end = offset + dst.size * 8
-        if end > len(raw):
-            raise CheckpointError(f"truncated array data at {name!r}")
-        dst[...] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(dst.shape)
-        offset = end
-    if targets:
-        raise CheckpointError(f"missing arrays {sorted(targets)}")
-    if offset != len(raw):
-        raise CheckpointError("trailing bytes after last array")
+    if json.loads(json.dumps(_header(net))) != header:
+        raise CheckpointError("header differs from the one its network is saved with")
+    values = np.frombuffer(raw, dtype="<f8", offset=16 + hlen)
+    for _, dst in net.named_arrays():
+        dst[...] = values[:dst.size].reshape(dst.shape)
+        values = values[dst.size:]
     return net

@@ -8,9 +8,9 @@ module only; the experiment criteria run the full desk-scale pipeline.
 
 import json
 import math
-import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,7 +447,7 @@ def test_criterion_6_end_to_end_recovery(capsys, desk_scale_runs):
 def test_criterion_7_stationarity_trend(capsys, desk_scale_runs):
     bg_first, bg_last, lb_first, lb_last = [], [], [], []
     for out_dir, _ in desk_scale_runs["full"]:
-        rows = open(os.path.join(out_dir, "metrics.csv")).read().splitlines()[1:]
+        rows = Path(out_dir, "metrics.csv").read_text().splitlines()[1:]
         bg = np.array([float(r.split(",")[8]) for r in rows])
         lb = np.array([float(r.split(",")[4]) for r in rows])
         k = len(rows) // 4
@@ -471,8 +471,8 @@ def test_criterion_8_determinism(capsys, desk_scale_runs):
     cfg = replace(xp.default_config(), seed=0,
                   out_dir=str(desk_scale_runs["root"] / "repeat0"))
     xp.run_experiment(cfg)
-    a = open(os.path.join(first_dir, "metrics.csv"), "rb").read()
-    b = open(os.path.join(cfg.out_dir, "metrics.csv"), "rb").read()
+    a = Path(first_dir, "metrics.csv").read_bytes()
+    b = Path(cfg.out_dir, "metrics.csv").read_bytes()
     ok = a == b and len(a) > 0
     verdict(capsys, 8, "byte-identical repeat run", ok,
             f"{len(a)} bytes compared")

@@ -4,6 +4,7 @@ a bound, and without a rule named here that covers it, fails this file."""
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ FLOATS = [c for c in NUMERIC if c[2] == FLOAT]
 
 
 @pytest.mark.parametrize("cls, name, kind", FLOATS, ids=ids(FLOATS))
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1.0", None])
 def test_a_float_field_rejects_a_non_finite_value(cls, name, kind, value):
     with pytest.raises(ERROR[cls]):
         build(cls, name, kind, value)
@@ -115,3 +116,15 @@ def test_a_bounded_field_holds_its_bound_exactly(cls, name, kind):
     with pytest.raises(ERROR[cls], match=f"{name} must be {op} {bound}, got"):
         build(cls, name, kind, past)
     build(cls, name, kind, edge)
+
+
+STRINGS = [(cls, f.name) for cls in ERROR for f in dataclasses.fields(cls)
+           if f.type == "str"]
+
+
+@pytest.mark.parametrize("cls, name", STRINGS, ids=ids(STRINGS))
+def test_a_str_field_rejects_a_value_that_is_no_string_or_path(cls, name):
+    with pytest.raises(ERROR[cls], match=f"{name} must be a string or a path"):
+        cls(**{name: 5})
+    if name == "out_dir":  # bns_stat takes only its two names
+        cls(**{name: pathlib.Path("out")})

@@ -199,6 +199,14 @@ class TestMLP:
         acc = pretrain_p(p, tx, ty, sx, sy, epochs=60, rng=seeded_rng(4))
         assert acc >= 0.85
 
+    def test_a_one_sample_last_batch_is_skipped(self):
+        tx, ty, sx, sy = small_dataset()
+        p = build_p(SMALL, seeded_rng(3))
+        # 33 samples: a batch of 32, then one of a single sample
+        pretrain_p(p, tx[:33], ty[:33], sx, sy, epochs=2, batch_size=32,
+                   rng=seeded_rng(4))
+        assert all(np.isfinite(a).all() for _, a in p.named_arrays())
+
     def test_label_range_checked(self):
         tx, ty, sx, sy = small_dataset()
         p = build_p(SMALL, seeded_rng(3))
@@ -329,6 +337,16 @@ class TestGenerator:
                       one_hot(np.zeros(2, dtype=int), 4), mode="train")
 
 
+def _array_bytes(entries, body):
+    """`body` split into the bytes of each array `entries` lists."""
+    out = []
+    for e in entries:
+        size = 8 * int(np.prod(e["shape"]))
+        out.append(body[:size])
+        body = body[size:]
+    return out
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("builder", [
         lambda: MLP(SMALL, seeded_rng(7)),
@@ -404,6 +422,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        blob = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON decoder recurses
+        path.write_bytes(b"ADSG" + (1).to_bytes(4, "little")
+                         + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            load_checkpoint(path)
+
+    def test_only_the_three_players_are_saved(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot checkpoint object"):
+            save_checkpoint(object(), tmp_path / "x.ckpt")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_quant_bits_survive_round_trip(self, tmp_path):
         q = init_q_from_p(MLP(SMALL, seeded_rng(7)), QuantConfig(5))
         save_checkpoint(q, tmp_path / "q.ckpt")
@@ -440,6 +471,13 @@ class TestCheckpoints:
         "unknown_kind": lambda h, b: (h | {"kind": "resnet"}, b),
         "entry_without_shape": lambda h, b: (
             h | {"arrays": [{"name": e["name"]} for e in h["arrays"]]}, b),
+        "arrays_reordered": lambda h, b: (
+            h | {"arrays": h["arrays"][::-1]}, b"".join(reversed(
+                _array_bytes(h["arrays"], b)))),
+        "array_shape_transposed": lambda h, b: (  # same byte count
+            h | {"arrays": [e | {"shape": e["shape"][::-1]}
+                            if e["name"] == "block0.weight" else e
+                            for e in h["arrays"]]}, b),
     }
 
     @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ class TestRunExperiment:
         for name in ("config.ini", "p.ckpt", "q.ckpt", "g.ckpt",
                      "metrics.csv", "summary.json"):
             assert os.path.exists(os.path.join(cfg.out_dir, name)), name
-        on_disk = json.load(open(os.path.join(cfg.out_dir, "summary.json")))
+        on_disk = json.loads(Path(cfg.out_dir, "summary.json").read_text())
         assert on_disk == summary
         assert 0.0 <= summary["q_init_accuracy"] <= 1.0
         assert summary["p_accuracy"] >= 0.0
@@ -258,7 +259,7 @@ class TestRunExperiment:
     def test_metrics_row_per_iteration(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         run_experiment(cfg)
-        lines = open(os.path.join(cfg.out_dir, "metrics.csv")).read().splitlines()
+        lines = Path(cfg.out_dir, "metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + cfg.hp.epochs * cfg.hp.iters_per_epoch
 
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -267,8 +268,8 @@ class TestRunExperiment:
         run_experiment(cfg_a)
         run_experiment(cfg_b)
         for name in ("metrics.csv", "p.ckpt", "q.ckpt", "g.ckpt"):
-            a = open(os.path.join(cfg_a.out_dir, name), "rb").read()
-            b = open(os.path.join(cfg_b.out_dir, name), "rb").read()
+            a = Path(cfg_a.out_dir, name).read_bytes()
+            b = Path(cfg_b.out_dir, name).read_bytes()
             assert a == b, name
 
     def test_checkpoints_load_back(self, tmp_path):
@@ -289,7 +290,7 @@ class TestAblationSweep:
         results = ablation_sweep(cfg, rows=rows)
         assert [r["disabled"] for r in results] == [[], ["L_BNS"]]
         assert all("summary" in r for r in results)
-        report = json.load(open(os.path.join(cfg.out_dir, "ablation.json")))
+        report = json.loads(Path(cfg.out_dir, "ablation.json").read_text())
         assert len(report) == 2
 
     def test_default_rows_include_statistics_only_baseline(self):
@@ -406,7 +407,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "FAILED:" in lines[0] and "ablate_full" in lines[0]
         assert all("q_final=" in line for line in lines[1:])
-        report = json.load(open(tmp_path / "out" / "ablation.json"))
+        report = json.loads((tmp_path / "out" / "ablation.json").read_text())
         assert "ablate_full" in report[0]["error"]
         assert all("summary" in entry for entry in report[1:])
 
@@ -429,11 +430,11 @@ class TestCli:
         assert cli.main(["ablate", "--config", self._tiny_ini(tmp_path),
                          "--disable", "L_b"]) == 0
         printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        report = json.load(open(tmp_path / "out" / "ablation.json"))
+        report = json.loads((tmp_path / "out" / "ablation.json").read_text())
         assert len(report) == 5
         sets = []
         for entry, line in zip(report, printed):
-            recorded = parse_config(open(os.path.join(entry["out_dir"], "config.ini")).read())
+            recorded = parse_config(Path(entry["out_dir"], "config.ini").read_text())
             assert entry["disabled"] == list(recorded.hp.disable)
             assert line == "disabled=" + ",".join(entry["disabled"])
             sets.append(frozenset(entry["disabled"]))
@@ -465,5 +466,5 @@ class TestCli:
         code = cli.main(["train", "--config", ini, "--out", str(out2),
                          "--epochs", "1"])
         assert code == 0
-        lines = open(out2 / "metrics.csv").read().splitlines()
+        lines = (out2 / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + 1 * 3
