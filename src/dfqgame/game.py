@@ -3,13 +3,16 @@
 One iteration = one Adam step on the generator against its composite loss,
 then one Nesterov-SGD step on the quantized network against the
 calibration loss. The game value is probed on a fixed batch before, between
-and after the two steps to produce a balance-gap record per iteration.
+and after the two steps to produce a balance-gap record per iteration;
+`run_game` hands the probes to a forked worker that evaluates them while
+the loop steps (`ProbeWorker`).
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -214,8 +217,13 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
     run in eval mode. Nothing is differentiated, so no graph is built.
 
     `memo` skips each forward whose inputs hold the values it saw last
-    (see ProbeMemo); without a memo every forward runs.
+    (see ProbeMemo); without a memo every forward runs. A `ProbeWorker` as
+    `memo` only queues the probe and returns NaN; its R arrives in
+    `ProbeWorker.finish`.
     """
+    if isinstance(memo, ProbeWorker):
+        memo.request()
+        return math.nan
     memo = ProbeMemo() if memo is None else memo
 
     def xz():
@@ -282,11 +290,13 @@ def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
 
 
 def play_iteration(state: GameState, max_batch, min_batch,
-                   epoch: int = 0, iteration: int = 0) -> IterationLog:
+                   epoch: int = 0, iteration: int = 0,
+                   memo: ProbeMemo | ProbeWorker | None = None) -> IterationLog:
     """One maximization step on `max_batch`, then one minimization step on
-    `min_batch`, with the game value probed before, between and after."""
+    `min_batch`, with the game value probed before, between and after.
+    `memo` replaces `state.probe_memo` in the probe calls."""
     probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
-             state.probe_memo)
+             state.probe_memo if memo is None else memo)
     r_before = probe_game_value(*probe)
     components = maximization_step(state, *max_batch)
     r_mid = probe_game_value(*probe)
@@ -294,6 +304,130 @@ def play_iteration(state: GameState, max_batch, min_batch,
     r_after = probe_game_value(*probe)
     return IterationLog(epoch=epoch, iteration=iteration, l_q=l_q,
                         bg=balance_gap(r_before, r_mid, r_after), **components)
+
+
+class _ProbeStopped(Exception):
+    """The probe worker raised or is gone; `ProbeWorker.finish` says why."""
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_fits() -> bool:
+    """Whether a forked worker gets CPUs of its own: this process may run
+    on twice as many CPUs as it runs threads, and it is not a daemonic
+    multiprocessing worker, which may start no process. The worker is a
+    copy with as many threads, so a BLAS thread pool counts twice (with an
+    unpinned two-thread OpenBLAS on two CPUs the `wide` game ran 2.5 times
+    slower with a worker). Where /proc lists no threads (not Linux), no
+    worker is forked."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    if 2 * threads > _usable_cpus():
+        return False
+    import multiprocessing
+
+    return not multiprocessing.current_process().daemon
+
+
+class ProbeWorker:
+    """A forked copy of the game that evaluates the probe while the loop
+    steps, with `probe_game_value` and its own ProbeMemo.
+
+    Of play_iteration's three requests, the second follows G's optimizer
+    step and the third Q's; each first sends that player's packed buffer
+    (`_buf`, without a copy) into the worker's copy of it. The probe reads
+    no other array that changes during a run. The worker inherits the
+    warning filters and `np.errstate`, so it raises what an in-process
+    probe would; a warning that is not raised it keeps to itself. It
+    answers only `finish`, apart from its first exception, which it sends
+    at once and which stops the loop at its next request.
+    """
+
+    def __init__(self, state: GameState):
+        import multiprocessing  # here: runs without a game never pay for it
+
+        # fork, so the worker starts from this state; the context flushes
+        # stdio first, so nothing buffered is printed twice
+        fork = multiprocessing.get_context("fork")
+        self._conn, child = fork.Pipe()
+        self._proc = fork.Process(target=_serve_probes,
+                                  args=(state, child, self._conn), daemon=True)
+        self._proc.start()
+        child.close()
+        self._stepped = [None, (b"g", state.opt_g), (b"q", state.opt_q)]
+        self._requests = 0
+
+    def request(self) -> None:
+        """Queue a probe of the players as they are now."""
+        stepped = self._stepped[self._requests % 3]
+        self._requests += 1
+        try:
+            if self._conn.poll():  # the worker raised
+                raise _ProbeStopped
+            if stepped is not None:
+                tag, opt = stepped
+                self._conn.send_bytes(tag)
+                self._conn.send_bytes(opt._buf)
+            self._conn.send_bytes(b"r")
+        except OSError:  # the worker is gone
+            raise _ProbeStopped from None
+
+    def finish(self) -> tuple[list[float], Exception | None]:
+        """R of each request in order, up to the first that raised, and
+        that exception (None when none did); the worker then exits."""
+        try:
+            self._conn.send_bytes(b"")
+        except OSError:
+            pass  # it is gone, but what it sent can still be read
+        try:
+            reply = self._conn.recv()
+            error = reply if isinstance(reply, Exception) else None
+            values = reply if error is None else self._conn.recv()
+        except (EOFError, OSError):
+            values = None
+        finally:
+            self.close()
+        if values is None:
+            raise RuntimeError(
+                f"the probe worker died (exit code {self._proc.exitcode})")
+        return values, error
+
+    def close(self) -> None:
+        """Close the pipe and wait for the worker, which exits at its end."""
+        self._conn.close()
+        self._proc.join()
+
+
+def _serve_probes(state: GameState, conn, loop_end) -> None:
+    """The worker's loop: b"g" or b"q" and then a buffer, b"r" to probe,
+    b"" to send the R values. It prints nothing; interrupts are the loop's."""
+    import signal
+    import warnings
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    warnings.showwarning = lambda *args, **kwargs: None  # raised ones still raise
+    loop_end.close()  # its forked copy: the pipe ends when the loop closes it
+    bufs = {b"g": state.opt_g._buf, b"q": state.opt_q._buf}
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
+             state.probe_memo)
+    values, failed = [], False
+    try:
+        while tag := conn.recv_bytes():
+            if tag != b"r":
+                conn.recv_bytes_into(bufs[tag])
+            elif not failed:
+                try:
+                    values.append(probe_game_value(*probe))
+                except Exception as e:
+                    failed = True
+                    conn.send(e)
+        conn.send(values)
+    except (EOFError, OSError):
+        pass  # the loop closed the pipe
 
 
 def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
@@ -304,28 +438,57 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     every `eval_period` epochs (and on the final iteration). A
     NumericalError names the epoch and iteration it was raised in, and
     carries the game state as `state`.
+
+    Where a worker fits (`_worker_fits`) and the game has an iteration,
+    a ProbeWorker evaluates the probes while this process steps, and each
+    log's balance gap is filled in from its values at the end. Of the
+    exceptions raised, the first in the in-process order (probe before,
+    max step, probe between, min step, probe after) is raised, with the
+    logs of the iterations before it. When that was a probe's, the players
+    in `err.state` may be past those logs, usually by one iteration: the
+    loop learns of it at a later probe request.
     """
     state = init_game(p, q, g, hp, rng)
+    worker = None
+    if hp.epochs * hp.iters_per_epoch > 0 and _worker_fits():
+        worker = ProbeWorker(state)
 
     def draw():
         return draw_batch(rng, hp.batch_size, g.spec.noise_dim, g.spec.class_count)
 
-    for epoch in range(hp.epochs):
-        if epoch > 0 and hp.lr_decay_period > 0 and epoch % hp.lr_decay_period == 0:
-            state.opt_q.lr *= hp.lr_decay_factor
-        for it in range(hp.iters_per_epoch):
-            try:
-                log = play_iteration(state, draw(), draw(), epoch, it)
-            except NumericalError as e:
-                err = NumericalError(f"epoch {epoch}, iteration {it}: {e}")
-                err.state = state  # its logs are the iterations before this one
-                raise err from None
-            last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
-            if eval_data is not None and (
-                    (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)
-                    or last_iter):
-                log.q_accuracy = accuracy(q, eval_data[0], eval_data[1])
-            state.logs.append(log)
+    error = None
+    try:
+        for epoch in range(hp.epochs):
+            if epoch > 0 and hp.lr_decay_period > 0 and epoch % hp.lr_decay_period == 0:
+                state.opt_q.lr *= hp.lr_decay_factor
+            for it in range(hp.iters_per_epoch):
+                log = play_iteration(state, draw(), draw(), epoch, it, worker)
+                last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
+                if eval_data is not None and (
+                        (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)
+                        or last_iter):
+                    log.q_accuracy = accuracy(q, eval_data[0], eval_data[1])
+                state.logs.append(log)
+    except Exception as e:
+        error = e  # raised below, unless a probe raised before it
+    except BaseException:  # an interrupt: stop the worker as well
+        if worker is not None:
+            worker.close()
+        raise
+    if worker is not None:
+        values, probe_error = worker.finish()
+        if probe_error is not None:
+            del state.logs[len(values) // 3:]
+            error = probe_error
+        for i, log in enumerate(state.logs):
+            log.bg = balance_gap(*values[3 * i:3 * i + 3])
+    if isinstance(error, NumericalError):
+        epoch, it = divmod(len(state.logs), hp.iters_per_epoch)
+        err = NumericalError(f"epoch {epoch}, iteration {it}: {error}")
+        err.state = state  # its logs are the iterations before this one
+        raise err from None
+    if error is not None:
+        raise error
     return state
 
 

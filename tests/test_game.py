@@ -2,13 +2,18 @@
 
 import copy
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from dfqgame import nets, xp
+from dfqgame import cli, game, nets, xp
 from dfqgame.adapt import LogitsPair, game_value
 from dfqgame.engine import Tensor, seeded_rng, softmax
 from dfqgame.game import (
@@ -34,6 +39,7 @@ from dfqgame.nets import (
     Generator,
     GeneratorSpec,
     NetworkSpec,
+    NumericalError,
     build_p,
     init_q_from_p,
     one_hot,
@@ -565,3 +571,223 @@ class TestBgHalvingTrial:
         full = np.mean([abs(f.bg) for f, _ in pairs])
         half = np.mean([abs(h.bg) for _, h in pairs])
         assert half < full
+
+
+def plain_game(p, hp, rng, eval_data, eval_period):
+    """run_game written out as a loop of play_iteration, in this process:
+    (state, None), or (state, message) at the NumericalError it stops at."""
+    q, g = fresh_players(p)
+    state = init_game(p, q, g, hp, rng)
+    for epoch in range(hp.epochs):
+        if epoch > 0 and epoch % hp.lr_decay_period == 0:
+            state.opt_q.lr *= hp.lr_decay_factor
+        for it in range(hp.iters_per_epoch):
+            batches = [draw_batch(rng, hp.batch_size, 5, 4) for _ in range(2)]
+            try:
+                log = play_iteration(state, *batches, epoch, it)
+            except NumericalError as e:
+                return state, f"epoch {epoch}, iteration {it}: {e}"
+            if eval_data is not None and it == hp.iters_per_epoch - 1 and (
+                    epoch % eval_period == 0 or epoch == hp.epochs - 1):
+                log.q_accuracy = nets.accuracy(q, *eval_data)
+            state.logs.append(log)
+    return state, None
+
+
+def fail_on_r_evaluation(monkeypatch, k):
+    """Make the k-th R evaluation raise NumericalError, counted in the
+    process that evaluates R: the one whose probe calls carry a ProbeMemo."""
+    probe, evaluations = game.probe_game_value, []
+
+    def failing(*args):
+        if isinstance(args[-1], game.ProbeMemo):
+            evaluations.append(None)
+            if len(evaluations) == k:
+                raise NumericalError(f"R evaluation {k} failed")
+        return probe(*args)
+
+    monkeypatch.setattr(game, "probe_game_value", failing)
+
+
+def logs_and_players(state):
+    return ([repr(astuple(log)) for log in state.logs],
+            [a.tobytes() for _, a in state.g.named_arrays() + state.q.named_arrays()])
+
+
+# twice the threads of any process the tests run in: a probe worker fits
+ENOUGH_CPUS = 1024
+
+
+@pytest.fixture(params=["worker", "in_process"])
+def probe_path(request, monkeypatch):
+    """run_game with its probe worker, or forced to probe in-process;
+    either way the test checks that the chosen path ran."""
+    monkeypatch.setattr(game, "_usable_cpus",
+                        lambda: ENOUGH_CPUS if request.param == "worker" else 1)
+    started, init = [], game.ProbeWorker.__init__
+
+    def counted(worker, state):
+        started.append(worker)
+        init(worker, state)
+
+    monkeypatch.setattr(game.ProbeWorker, "__init__", counted)
+    yield request.param
+    assert len(started) == (request.param == "worker")
+
+
+def _game_in_a_pool_worker(p):
+    """A game in a daemonic multiprocessing worker, which may start no
+    process, on a machine that would give it a probe worker."""
+    game._usable_cpus = lambda: ENOUGH_CPUS  # this pool worker's copy only
+    return logs_and_players(TestProbeWorker()._run(p, None))
+
+
+class TestProbeWorker:
+    """run_game gives the bytes of a plain play_iteration loop, with its
+    probe worker and without, and leaves no process behind."""
+
+    HP = HyperParams(epochs=3, iters_per_epoch=4, lr_decay_period=1,
+                     lr_decay_factor=0.5)
+
+    def _run(self, p, eval_data):
+        q, g = fresh_players(p)
+        return run_game(p, q, g, self.HP, seeded_rng(0), eval_data=eval_data,
+                        eval_period=2)
+
+    def test_equals_a_plain_loop(self, trained_setup, probe_path):
+        p, eval_data = trained_setup
+        ref, message = plain_game(p, self.HP, seeded_rng(0), eval_data, 2)
+        assert message is None
+        state = self._run(p, eval_data)
+        assert logs_and_players(state) == logs_and_players(ref)
+        assert state.opt_q.lr == ref.opt_q.lr
+
+    # 1: the first probe; 6: the last of iteration 1; 8: the one between the
+    # steps of iteration 2; 14: the one between the steps of epoch 1's first
+    @pytest.mark.parametrize("k", [1, 6, 8, 14])
+    def test_a_probe_failure_equals_a_plain_loop(self, trained_setup, probe_path,
+                                                 monkeypatch, k):
+        p, eval_data = trained_setup
+        fail_on_r_evaluation(monkeypatch, k)
+        ref, message = plain_game(p, self.HP, seeded_rng(0), eval_data, 2)
+        assert message is not None
+        fail_on_r_evaluation(monkeypatch, k)
+        with pytest.raises(NumericalError) as info:
+            self._run(p, eval_data)
+        assert str(info.value) == message
+        assert logs_and_players(info.value.state)[0] == logs_and_players(ref)[0]
+
+    def test_train_exits_3_with_the_in_process_rows(self, tmp_path, monkeypatch,
+                                                    capsys):
+        ends = []
+        for cpus in (1, ENOUGH_CPUS):
+            monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
+            fail_on_r_evaluation(monkeypatch, 8)  # iteration 2, between the steps
+            out = tmp_path / str(cpus)
+            ini = tmp_path / "cfg.ini"
+            ini.write_text(
+                f"[experiment]\nout_dir = {out}\npretrain_epochs = 3\n"
+                "[dataset]\nclass_count = 4\ninput_dim = 6\nsamples_per_class = 25\n"
+                "[network]\nhidden = 8,8\n"
+                "[generator]\nnoise_dim = 5\nhidden = 8,8\n"
+                "[hyperparams]\nepochs = 2\niters_per_epoch = 3\n")
+            code = cli.main(["train", "--config", str(ini)])
+            ends.append((code, capsys.readouterr(),
+                         (out / "metrics.csv").read_text().splitlines()))
+        assert ends[0] == ends[1]
+        code, captured, rows = ends[1]
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.err == "numerical abort: epoch 0, iteration 2: R evaluation 8 failed\n"
+        assert [r.split(",")[:2] for r in rows[1:]] == [["0", "0"], ["0", "1"]]
+
+    @pytest.mark.parametrize("end", ["return", "raise", "interrupt"])
+    def test_no_worker_outlives_the_loop(self, trained_setup, monkeypatch, capfd, end):
+        monkeypatch.setattr(game, "_usable_cpus", lambda: ENOUGH_CPUS)
+        expected = {"raise": NumericalError, "interrupt": KeyboardInterrupt}.get(end)
+        if end == "raise":
+            fail_on_r_evaluation(monkeypatch, 5)
+        if end == "interrupt":
+            step, steps = game.minimization_step, []
+
+            def interrupted(*args):
+                steps.append(None)
+                if len(steps) == 3:
+                    raise KeyboardInterrupt
+                return step(*args)
+
+            monkeypatch.setattr(game, "minimization_step", interrupted)
+        p, eval_data = trained_setup
+        if expected is None:
+            self._run(p, eval_data)
+        else:
+            with pytest.raises(expected):
+                self._run(p, eval_data)
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr().err == ""
+
+    def test_a_worker_that_dies_is_an_error_not_a_hang(self, trained_setup,
+                                                       monkeypatch):
+        monkeypatch.setattr(game, "_usable_cpus", lambda: ENOUGH_CPUS)
+        main, probe = os.getpid(), game.probe_game_value
+
+        def dying(*args):
+            if os.getpid() != main:
+                os._exit(7)
+            return probe(*args)
+
+        monkeypatch.setattr(game, "probe_game_value", dying)
+        with pytest.raises(RuntimeError, match=r"exit code 7\)"):
+            self._run(*trained_setup)
+
+    def test_the_cli_imports_no_multiprocessing(self):
+        """Set-up and runs without a game do not pay for the worker's import."""
+        code = "import sys, dfqgame.cli; print('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(game.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert out.stdout == "False\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no worker where /proc lists no threads")
+    def test_a_worker_needs_two_cpus_per_thread(self, monkeypatch):
+        """A BLAS thread pool or any other thread counts twice: the worker
+        is a copy of this process with as many threads."""
+        threads = len(os.listdir("/proc/self/task"))
+        monkeypatch.setattr(game, "_usable_cpus", lambda: 2 * threads)
+        assert game._worker_fits()
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            assert not game._worker_fits()
+        finally:
+            release.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+
+    def test_a_daemonic_process_probes_in_process(self, trained_setup):
+        p, _ = trained_setup
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply_async(_game_in_a_pool_worker, (p,)).get(timeout=60)
+        ref, _ = plain_game(p, self.HP, seeded_rng(0), None, 2)
+        assert pooled == logs_and_players(ref)
+
+    def test_a_diverging_train_prints_what_an_in_process_one_prints(self, tmp_path):
+        """Warnings printed, not raised: the worker prints none of its own,
+        so stderr (the warnings of the steps, then the abort) is the same."""
+        ini = tmp_path / "cfg.ini"
+        ends = []
+        for cpus in (1, ENOUGH_CPUS):
+            ini.write_text(
+                f"[experiment]\nout_dir = {tmp_path / str(cpus)}\npretrain_epochs = 3\n"
+                "[hyperparams]\nlr_q = 1e200\nepochs = 2\n")
+            code = ("import sys; from dfqgame import cli, game\n"
+                    f"game._usable_cpus = lambda: {cpus}\n"
+                    f"sys.exit(cli.main(['train', '--config', {str(ini)!r}]))")
+            src = os.path.dirname(os.path.dirname(game.__file__))
+            ends.append(subprocess.run(
+                [sys.executable, "-W", "default", "-c", code], capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120))
+        assert ends[0].returncode == ends[1].returncode == cli.EXIT_NUMERICAL
+        assert "RuntimeWarning" in ends[0].stderr
+        assert ends[1].stderr == ends[0].stderr
