@@ -104,10 +104,15 @@ class ProbeMemo:
     """The probe's two memos: G's and P's forwards (x, z_p), keyed by G's
     parameters, the probe batch and P's arrays (parameters and BN running
     statistics); and R, keyed by x, z_p and Q's arrays. Q's bit width is
-    not a key: it is fixed when Q is built."""
+    not a key: it is fixed when Q is built.
+
+    A ProbeWorker's memo has `versions`, the counts of the copies of G's
+    and Q's buffers it has taken, and keys the forwards by G's count and R
+    by both instead: in the worker nothing else the probe reads changes."""
 
     xz: Memo = field(default_factory=Memo)
     r: Memo = field(default_factory=Memo)
+    versions: np.ndarray | None = None
 
 
 @dataclass
@@ -230,12 +235,13 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
         x = g.forward(probe_z, probe_y, mode="batch")
         return x, p.forward(x, mode="eval")
 
+    v = memo.versions
     with frozen(g.parameters() + p.parameters() + q.parameters()):
         x, z_p = memo.xz.get(
             [t.data for t in g.parameters()] + [probe_z.data, probe_y.data]
-            + [a for _, a in p.named_arrays()], xz)
+            + [a for _, a in p.named_arrays()] if v is None else [v[:1]], xz)
         return memo.r.get(
-            [x.data, z_p.data] + [a for _, a in q.named_arrays()],
+            [x.data, z_p.data] + [a for _, a in q.named_arrays()] if v is None else [v],
             lambda: game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item())
 
 
@@ -337,42 +343,69 @@ class ProbeWorker:
     """A forked copy of the game that evaluates the probe while the loop
     steps, with `probe_game_value` and its own ProbeMemo.
 
-    Of play_iteration's three requests, the second follows G's optimizer
-    step and the third Q's; each first sends that player's packed buffer
-    (`_buf`, without a copy) into the worker's copy of it. The probe reads
-    no other array that changes during a run. The worker inherits the
-    warning filters and `np.errstate`, so it raises what an in-process
-    probe would; a warning that is not raised it keeps to itself. It
-    answers only `finish`, apart from its first exception, which it sends
-    at once and which stops the loop at its next request.
+    Before the fork, G's and Q's packed buffers (`_buf`) move into memory
+    shared with the worker, which probes private copies of them. Of
+    play_iteration's three requests, the second follows G's optimizer step
+    and the third Q's; each tells the worker to copy that player's buffer
+    first, and the worker acks the copy on a pipe of its own. Before the
+    loop steps a player (at the first request for G, the second for Q) it
+    reads that player's ack, so it never writes a buffer the worker has yet
+    to copy. The probe reads no other array that changes during a run, so
+    the worker's memo is keyed by the counts of copies taken
+    (`ProbeMemo.versions`). The worker inherits the warning filters and
+    `np.errstate`, so it raises what an in-process probe would; a warning
+    that is not raised it keeps to itself. It answers only `finish`, apart
+    from its first exception, which it sends at once and which stops the
+    loop at its next request.
     """
 
-    def __init__(self, state: GameState):
-        import multiprocessing  # here: runs without a game never pay for it
+    # per request: what it tells the worker, and whether the loop then reads
+    # the ack of the player it steps next
+    _REQUESTS = ((b"r", True), (b"g", True), (b"q", False))
 
-        # fork, so the worker starts from this state; the context flushes
-        # stdio first, so nothing buffered is printed twice
-        fork = multiprocessing.get_context("fork")
-        self._conn, child = fork.Pipe()
-        self._proc = fork.Process(target=_serve_probes,
-                                  args=(state, child, self._conn), daemon=True)
-        self._proc.start()
-        child.close()
-        self._stepped = [None, (b"g", state.opt_g), (b"q", state.opt_q)]
+    def __init__(self, state: GameState):
+        import mmap  # here: runs without a game never pay for these imports
+        from multiprocessing import Pipe
+
+        opened = []  # closed again if the worker cannot be started
+        try:
+            self._conn, conn = Pipe()
+            opened += [self._conn.close, conn.close]
+            self._acks, acks = os.pipe()
+            opened += [lambda: os.close(self._acks), lambda: os.close(acks)]
+            for opt in (state.opt_g, state.opt_q):
+                opt._buf = np.frombuffer(mmap.mmap(-1, opt._buf.nbytes))
+                opt._pack()
+            self._pid = os.fork()
+        except OSError:
+            for close in opened:
+                close()
+            raise
+        # the worker leaves only through _exit, which flushes no stdio, so
+        # nothing buffered before the fork is printed twice
+        if self._pid == 0:
+            code = 1
+            try:
+                self._conn.close()
+                os.close(self._acks)
+                _serve_probes(state, conn, acks)
+                code = 0
+            finally:
+                os._exit(code)
+        conn.close()
+        os.close(acks)
         self._requests = 0
 
     def request(self) -> None:
         """Queue a probe of the players as they are now."""
-        stepped = self._stepped[self._requests % 3]
+        tag, ack = self._REQUESTS[self._requests % 3]
         self._requests += 1
         try:
             if self._conn.poll():  # the worker raised
                 raise _ProbeStopped
-            if stepped is not None:
-                tag, opt = stepped
-                self._conn.send_bytes(tag)
-                self._conn.send_bytes(opt._buf)
-            self._conn.send_bytes(b"r")
+            self._conn.send_bytes(tag)
+            if ack and not os.read(self._acks, 1):  # end of file: it is gone
+                raise _ProbeStopped
         except OSError:  # the worker is gone
             raise _ProbeStopped from None
 
@@ -390,36 +423,46 @@ class ProbeWorker:
         except (EOFError, OSError):
             values = None
         finally:
-            self.close()
+            code = self.close()
         if values is None:
-            raise RuntimeError(
-                f"the probe worker died (exit code {self._proc.exitcode})")
+            raise RuntimeError(f"the probe worker died (exit code {code})")
         return values, error
 
-    def close(self) -> None:
-        """Close the pipe and wait for the worker, which exits at its end."""
+    def close(self) -> int:
+        """Close the pipes and wait for the worker, which exits at their
+        end; its exit code, or minus the signal that ended it."""
         self._conn.close()
-        self._proc.join()
+        os.close(self._acks)
+        return os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
 
 
-def _serve_probes(state: GameState, conn, loop_end) -> None:
-    """The worker's loop: b"g" or b"q" and then a buffer, b"r" to probe,
-    b"" to send the R values. It prints nothing; interrupts are the loop's."""
+def _serve_probes(state: GameState, conn, acks: int) -> None:
+    """The worker's loop: b"r" to probe, b"g" or b"q" to copy that player's
+    shared buffer, ack the copy and probe, b"" to send the R values. It
+    prints nothing; interrupts are the loop's."""
     import signal
     import warnings
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     warnings.showwarning = lambda *args, **kwargs: None  # raised ones still raise
-    loop_end.close()  # its forked copy: the pipe ends when the loop closes it
-    bufs = {b"g": state.opt_g._buf, b"q": state.opt_q._buf}
-    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
-             state.probe_memo)
+    players = {}
+    for i, (tag, opt) in enumerate([(b"g", state.opt_g), (b"q", state.opt_q)]):
+        shared = opt._buf
+        opt._buf = np.empty_like(shared)
+        opt._pack()  # the worker's players view its private copies
+        players[tag] = i, opt._buf, shared
+    memo = ProbeMemo(versions=np.zeros(2, dtype=np.int64))
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, memo)
     values, failed = [], False
     try:
+        os.write(acks, b"gq")  # the loop may step either player
         while tag := conn.recv_bytes():
-            if tag != b"r":
-                conn.recv_bytes_into(bufs[tag])
-            elif not failed:
+            if tag != b"r":  # that player stepped
+                i, private, shared = players[tag]
+                np.copyto(private, shared)
+                memo.versions[i] += 1
+                os.write(acks, tag)
+            if not failed:
                 try:
                     values.append(probe_game_value(*probe))
                 except Exception as e:
@@ -427,7 +470,7 @@ def _serve_probes(state: GameState, conn, loop_end) -> None:
                     conn.send(e)
         conn.send(values)
     except (EOFError, OSError):
-        pass  # the loop closed the pipe
+        pass  # the loop closed its ends
 
 
 def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
@@ -439,19 +482,22 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     NumericalError names the epoch and iteration it was raised in, and
     carries the game state as `state`.
 
-    Where a worker fits (`_worker_fits`) and the game has an iteration,
-    a ProbeWorker evaluates the probes while this process steps, and each
-    log's balance gap is filled in from its values at the end. Of the
-    exceptions raised, the first in the in-process order (probe before,
-    max step, probe between, min step, probe after) is raised, with the
-    logs of the iterations before it. When that was a probe's, the players
+    Where a worker fits (`_worker_fits`), can be started and the game has
+    an iteration, a ProbeWorker evaluates the probes while this process
+    steps, and each log's balance gap is filled in from its values at the
+    end. Of the exceptions raised, the first in the in-process order
+    (probe before, max step, probe between, min step, probe after) is
+    raised, with the logs of the iterations before it. When that was a probe's, the players
     in `err.state` may be past those logs, usually by one iteration: the
     loop learns of it at a later probe request.
     """
     state = init_game(p, q, g, hp, rng)
     worker = None
     if hp.epochs * hp.iters_per_epoch > 0 and _worker_fits():
-        worker = ProbeWorker(state)
+        try:
+            worker = ProbeWorker(state)
+        except OSError:  # no pipe, shared memory or process to be had
+            pass
 
     def draw():
         return draw_batch(rng, hp.batch_size, g.spec.noise_dim, g.spec.class_count)

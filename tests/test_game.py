@@ -1,14 +1,17 @@
 """Tests for the loss family and the alternating min-max loop."""
 
+import contextlib
 import copy
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -486,6 +489,36 @@ class TestProbeMemo:
         play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
         assert Counter(calls) == {"Generator": 3, "MLP": 3, "QuantizedMLP": 4}
 
+    def test_a_worker_memo_is_keyed_by_its_copy_counts(self, trained_setup,
+                                                       monkeypatch):
+        """With `versions`, a new count reruns the forwards it keys although
+        the values are as they were, and a write the counts miss is not
+        seen: in the worker only a copy changes what the probe reads."""
+        state = self._state(trained_setup[0])
+        calls = []
+        for cls in (nets.Generator, nets.MLP, nets.QuantizedMLP):
+            def counted(net, *args, _forward=cls.forward, **kwargs):
+                calls.append(type(net).__name__)
+                return _forward(net, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", counted)
+        memo = game.ProbeMemo(versions=np.zeros(2, dtype=np.int64))
+
+        r = self._probe(state, memo)
+        assert calls == ["Generator", "MLP", "QuantizedMLP"]
+        assert r == self._probe(state)
+        calls.clear()
+        memo.versions[1] += 1
+        assert self._probe(state, memo) == r
+        assert calls == ["QuantizedMLP"]
+        calls.clear()
+        memo.versions[0] += 1
+        assert self._probe(state, memo) == r
+        assert calls == ["Generator", "MLP", "QuantizedMLP"]
+        calls.clear()
+        _bump(state.q.head.bias.data)
+        assert self._probe(state, memo) == r
+        assert calls == []
+
 
 class TestAblation:
     def test_unknown_name_rejected(self):
@@ -616,6 +649,42 @@ def logs_and_players(state):
 
 # twice the threads of any process the tests run in: a probe worker fits
 ENOUGH_CPUS = 1024
+
+
+class _Hung(BaseException):
+    """A block ran past its deadline; no `except Exception` takes it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, a block that runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise _Hung(f"no end within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def in_the_worker(monkeypatch, act):
+    """Run `act()` before each `np.copyto` that a forked process makes,
+    which in a probe worker first copies a stepped player's buffer."""
+    main, copyto = os.getpid(), np.copyto
+
+    def patched(*args, **kwargs):
+        if os.getpid() != main:
+            act()
+        return copyto(*args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", patched)
 
 
 @pytest.fixture(params=["worker", "in_process"])
@@ -791,3 +860,104 @@ class TestProbeWorker:
         assert ends[0].returncode == ends[1].returncode == cli.EXIT_NUMERICAL
         assert "RuntimeWarning" in ends[0].stderr
         assert ends[1].stderr == ends[0].stderr
+
+    @pytest.mark.parametrize("frozen_player", ["lr_g", "lr_q"])
+    def test_a_player_that_never_moves_equals_a_plain_loop(
+            self, trained_setup, probe_path, frozen_player):
+        """Its steps leave its values as they were: the value-keyed memo
+        hits where the worker's count-keyed one recomputes."""
+        p, eval_data = trained_setup
+        hp = replace(self.HP, **{frozen_player: 0.0})
+        ref, message = plain_game(p, hp, seeded_rng(0), eval_data, 2)
+        assert message is None
+        q, g = fresh_players(p)
+        with deadline(60):
+            state = run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data,
+                             eval_period=2)
+        assert logs_and_players(state) == logs_and_players(ref)
+
+    def test_a_worker_slow_to_copy_equals_a_plain_loop(self, trained_setup,
+                                                       monkeypatch):
+        """The loop waits for each copy before it steps that player again."""
+        monkeypatch.setattr(game, "_usable_cpus", lambda: ENOUGH_CPUS)
+        in_the_worker(monkeypatch, lambda: time.sleep(0.01))
+        p, eval_data = trained_setup
+        ref, _ = plain_game(p, self.HP, seeded_rng(0), eval_data, 2)
+        with deadline(60):
+            state = self._run(p, eval_data)
+        assert logs_and_players(state) == logs_and_players(ref)
+
+    def test_a_worker_that_dies_before_a_copy_is_an_error_not_a_hang(
+            self, trained_setup, monkeypatch):
+        """It dies while the loop waits for the ack of that copy."""
+        monkeypatch.setattr(game, "_usable_cpus", lambda: ENOUGH_CPUS)
+
+        def die():
+            time.sleep(0.5)
+            os._exit(9)
+
+        in_the_worker(monkeypatch, die)
+        with deadline(60), pytest.raises(RuntimeError, match=r"exit code 9\)"):
+            self._run(*trained_setup)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc to list the open file descriptors")
+    @pytest.mark.parametrize("end", ["return", "raise", "interrupt"])
+    def test_no_file_descriptor_outlives_a_game(self, trained_setup, monkeypatch,
+                                                end):
+        monkeypatch.setattr(game, "_usable_cpus", lambda: ENOUGH_CPUS)
+        expected = {"raise": NumericalError, "interrupt": KeyboardInterrupt}.get(end)
+        if end == "raise":
+            fail_on_r_evaluation(monkeypatch, 5)
+        if end == "interrupt":
+            def interrupted(*args):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(game, "minimization_step", interrupted)
+        before = open_fds()
+        with deadline(60), (pytest.raises(expected) if expected
+                            else contextlib.nullcontext()):
+            self._run(*trained_setup)
+        assert open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc to list the open file descriptors")
+    def test_a_failed_fork_probes_in_process(self, tmp_path, monkeypatch, capsys):
+        """`train` closes what it opened for the worker and runs as it
+        does without one."""
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        ends = []
+        for cpus in (1, ENOUGH_CPUS):
+            monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
+            if cpus == ENOUGH_CPUS:
+                monkeypatch.setattr(os, "fork", no_fork)
+            out = tmp_path / str(cpus)
+            ini = tmp_path / "cfg.ini"
+            ini.write_text(
+                f"[experiment]\nout_dir = {out}\npretrain_epochs = 3\n"
+                "[dataset]\nclass_count = 4\ninput_dim = 6\nsamples_per_class = 25\n"
+                "[network]\nhidden = 8,8\n"
+                "[generator]\nnoise_dim = 5\nhidden = 8,8\n"
+                "[hyperparams]\nepochs = 2\niters_per_epoch = 3\n")
+            before = open_fds()
+            code = cli.main(["train", "--config", str(ini)])
+            ends.append((code, capsys.readouterr().err,
+                         (out / "metrics.csv").read_bytes(),
+                         (out / "summary.json").read_bytes(), open_fds() == before))
+        assert len(forks) == 1
+        assert ends[0] == ends[1]
+        code, err, _, _, no_fd_left = ends[1]
+        assert (code, err, no_fd_left) == (0, "", True)
+
+    def test_the_cli_imports_no_mmap(self):
+        """Nor the shared memory that only the worker uses."""
+        code = "import sys, dfqgame.cli; print('mmap' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(game.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert out.stdout == "False\n"
