@@ -3,9 +3,10 @@
 One iteration = one Adam step on the generator against its composite loss,
 then one Nesterov-SGD step on the quantized network against the
 calibration loss. The game value is probed on a fixed batch before, between
-and after the two steps to produce a balance-gap record per iteration;
-`run_game` hands the probes to a forked worker that evaluates them while
-the loop steps (`ProbeWorker`).
+and after the two steps to produce a balance-gap record per iteration; a
+probe recomputes only what its place in the iteration says has moved
+(`ProbeCache`), and `run_game` hands the probes to a forked worker that
+evaluates them while the loop steps (`ProbeWorker`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .nets import (
     BNStatsRecord,
     Generator,
     MLP,
-    Memo,
     NumericalError,
     QuantizedMLP,
     accuracy,
@@ -100,19 +100,20 @@ class IterationLog:
 
 
 @dataclass
-class ProbeMemo:
-    """The probe's two memos: G's and P's forwards (x, z_p), keyed by G's
-    parameters, the probe batch and P's arrays (parameters and BN running
-    statistics); and R, keyed by x, z_p and Q's arrays. Q's bit width is
-    not a key: it is fixed when Q is built.
+class ProbeCache:
+    """What a game's probes keep: how many have run (`count`), G's and P's
+    forwards on the probe batch (`xz`) and the last R. Within a game only
+    the two steps move what the probe reads: the max step writes G's
+    parameters (and G's BN running statistics, which the probe, running G
+    in batch mode, does not read), the min step Q's parameters; P is
+    frozen and the probe batch fixed. So the k-th probe (k from 0) reruns
+    G's and P's forwards only at k % 3 == 1 and R only at k % 3 != 0;
+    probe 0 runs both, and every other returns the last R. A write made
+    between probes by anything but the steps is not seen."""
 
-    A ProbeWorker's memo has `versions`, the counts of the copies of G's
-    and Q's buffers it has taken, and keys the forwards by G's count and R
-    by both instead: in the worker nothing else the probe reads changes."""
-
-    xz: Memo = field(default_factory=Memo)
-    r: Memo = field(default_factory=Memo)
-    versions: np.ndarray | None = None
+    count: int = 0
+    xz: tuple | None = None
+    r: float | None = None
 
 
 @dataclass
@@ -126,7 +127,7 @@ class GameState:
     probe_z: Tensor
     probe_y: Tensor
     logs: list[IterationLog] = field(default_factory=list)
-    probe_memo: ProbeMemo = field(default_factory=ProbeMemo)
+    probe_cache: ProbeCache = field(default_factory=ProbeCache)
 
 
 # -- losses -------------------------------------------------------------------
@@ -135,8 +136,6 @@ class GameState:
 # L_ds and L_as: the label cross-entropy of the disagreement and of the
 # agreement distribution, pushing each toward the conditioning label.
 loss_ds = loss_as = label_cross_entropy
-# Q's calibration loss is the game value at temperature tau.
-calibration_loss = game_value
 
 
 def _logits_pair(z_p: Tensor, z_q: Tensor) -> LogitsPair:
@@ -216,33 +215,30 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
 
 def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
                      probe_z: Tensor, probe_y: Tensor,
-                     memo: ProbeMemo | None = None) -> float:
+                     cache: ProbeCache | None = None) -> float:
     """R on the fixed probe batch as a pure function of (theta_g, theta_q):
     G uses batch statistics without touching its running buffers, P and Q
     run in eval mode. Nothing is differentiated, so no graph is built.
 
-    `memo` skips each forward whose inputs hold the values it saw last
-    (see ProbeMemo); without a memo every forward runs. A `ProbeWorker` as
-    `memo` only queues the probe and returns NaN; its R arrives in
-    `ProbeWorker.finish`.
+    With the game's `cache`, a probe runs only the forwards that its place
+    in the iteration says have moved (see ProbeCache); without one every
+    forward runs. A `ProbeWorker` as `cache` only queues the probe and
+    returns NaN; its R arrives in `ProbeWorker.finish`.
     """
-    if isinstance(memo, ProbeWorker):
-        memo.request()
+    if isinstance(cache, ProbeWorker):
+        cache.request()
         return math.nan
-    memo = ProbeMemo() if memo is None else memo
-
-    def xz():
-        x = g.forward(probe_z, probe_y, mode="batch")
-        return x, p.forward(x, mode="eval")
-
-    v = memo.versions
-    with frozen(g.parameters() + p.parameters() + q.parameters()):
-        x, z_p = memo.xz.get(
-            [t.data for t in g.parameters()] + [probe_z.data, probe_y.data]
-            + [a for _, a in p.named_arrays()] if v is None else [v[:1]], xz)
-        return memo.r.get(
-            [x.data, z_p.data] + [a for _, a in q.named_arrays()] if v is None else [v],
-            lambda: game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item())
+    cache = ProbeCache() if cache is None else cache
+    place = cache.count % 3 if cache.count else 1
+    if place:
+        with frozen(g.parameters() + p.parameters() + q.parameters()):
+            if place == 1:
+                x = g.forward(probe_z, probe_y, mode="batch")
+                cache.xz = x, p.forward(x, mode="eval")
+            x, z_p = cache.xz
+            cache.r = game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item()
+    cache.count += 1
+    return cache.r
 
 
 # -- steps ------------------------------------------------------------------
@@ -297,12 +293,12 @@ def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
 
 def play_iteration(state: GameState, max_batch, min_batch,
                    epoch: int = 0, iteration: int = 0,
-                   memo: ProbeMemo | ProbeWorker | None = None) -> IterationLog:
+                   cache: ProbeCache | ProbeWorker | None = None) -> IterationLog:
     """One maximization step on `max_batch`, then one minimization step on
     `min_batch`, with the game value probed before, between and after.
-    `memo` replaces `state.probe_memo` in the probe calls."""
+    `cache` replaces `state.probe_cache` in the probe calls."""
     probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
-             state.probe_memo if memo is None else memo)
+             state.probe_cache if cache is None else cache)
     r_before = probe_game_value(*probe)
     components = maximization_step(state, *max_batch)
     r_mid = probe_game_value(*probe)
@@ -341,45 +337,34 @@ def _worker_fits() -> bool:
 
 class ProbeWorker:
     """A forked copy of the game that evaluates the probe while the loop
-    steps, with `probe_game_value` and its own ProbeMemo.
+    steps, with `probe_game_value` and its own ProbeCache.
 
     Before the fork, G's and Q's packed buffers (`_buf`) move into memory
-    shared with the worker, which probes private copies of them. Of
-    play_iteration's three requests, the second follows G's optimizer step
-    and the third Q's; each tells the worker to copy that player's buffer
-    first, and the worker acks the copy on a pipe of its own. Before the
-    loop steps a player (at the first request for G, the second for Q) it
-    reads that player's ack, so it never writes a buffer the worker has yet
-    to copy. The probe reads no other array that changes during a run, so
-    the worker's memo is keyed by the counts of copies taken
-    (`ProbeMemo.versions`). The worker inherits the warning filters and
-    `np.errstate`, so it raises what an in-process probe would; a warning
-    that is not raised it keeps to itself. It answers only `finish`, apart
-    from its first exception, which it sends at once and which stops the
-    loop at its next request.
+    shared with the worker, which probes private copies of them. A request
+    is one byte: from its cache's count the worker works out which player
+    stepped since the last request (see ProbeCache), copies that player's
+    buffer and acks the copy. Its acks, its first exception and the R
+    values travel on the one pipe. Before the loop steps a player it reads
+    the next message: an ack of that player's last copy lets it go on, so
+    it never writes a buffer the worker has yet to copy, and anything else
+    is the worker's exception, which stops the loop. The worker inherits
+    the warning filters and `np.errstate`, so it raises what an in-process
+    probe would; a warning that is not raised it keeps to itself.
     """
-
-    # per request: what it tells the worker, and whether the loop then reads
-    # the ack of the player it steps next
-    _REQUESTS = ((b"r", True), (b"g", True), (b"q", False))
 
     def __init__(self, state: GameState):
         import mmap  # here: runs without a game never pay for these imports
         from multiprocessing import Pipe
 
-        opened = []  # closed again if the worker cannot be started
+        self._conn, conn = Pipe()
         try:
-            self._conn, conn = Pipe()
-            opened += [self._conn.close, conn.close]
-            self._acks, acks = os.pipe()
-            opened += [lambda: os.close(self._acks), lambda: os.close(acks)]
             for opt in (state.opt_g, state.opt_q):
                 opt._buf = np.frombuffer(mmap.mmap(-1, opt._buf.nbytes))
                 opt._pack()
             self._pid = os.fork()
         except OSError:
-            for close in opened:
-                close()
+            self._conn.close()
+            conn.close()
             raise
         # the worker leaves only through _exit, which flushes no stdio, so
         # nothing buffered before the fork is printed twice
@@ -387,26 +372,24 @@ class ProbeWorker:
             code = 1
             try:
                 self._conn.close()
-                os.close(self._acks)
-                _serve_probes(state, conn, acks)
+                _serve_probes(state, conn)
                 code = 0
             finally:
                 os._exit(code)
         conn.close()
-        os.close(acks)
         self._requests = 0
+        self._error = None
 
     def request(self) -> None:
         """Queue a probe of the players as they are now."""
-        tag, ack = self._REQUESTS[self._requests % 3]
+        steps_next = self._requests % 3 != 2  # a player steps after this probe
         self._requests += 1
         try:
-            if self._conn.poll():  # the worker raised
+            self._conn.send_bytes(b"r")
+            if steps_next and (reply := self._conn.recv()) is not None:
+                self._error = reply  # not an ack: the worker raised
                 raise _ProbeStopped
-            self._conn.send_bytes(tag)
-            if ack and not os.read(self._acks, 1):  # end of file: it is gone
-                raise _ProbeStopped
-        except OSError:  # the worker is gone
+        except (EOFError, OSError):  # the worker is gone
             raise _ProbeStopped from None
 
     def finish(self) -> tuple[list[float], Exception | None]:
@@ -416,61 +399,63 @@ class ProbeWorker:
             self._conn.send_bytes(b"")
         except OSError:
             pass  # it is gone, but what it sent can still be read
+        values = None
         try:
-            reply = self._conn.recv()
-            error = reply if isinstance(reply, Exception) else None
-            values = reply if error is None else self._conn.recv()
+            while not isinstance(reply := self._conn.recv(), list):
+                if reply is not None:  # not an ack
+                    self._error = reply
+            values = reply
         except (EOFError, OSError):
-            values = None
+            pass
         finally:
             code = self.close()
         if values is None:
             raise RuntimeError(f"the probe worker died (exit code {code})")
-        return values, error
+        return values, self._error
 
     def close(self) -> int:
-        """Close the pipes and wait for the worker, which exits at their
-        end; its exit code, or minus the signal that ended it."""
+        """Close the pipe and wait for the worker, which exits at its end;
+        its exit code, or minus the signal that ended it."""
         self._conn.close()
-        os.close(self._acks)
         return os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
 
 
-def _serve_probes(state: GameState, conn, acks: int) -> None:
-    """The worker's loop: b"r" to probe, b"g" or b"q" to copy that player's
-    shared buffer, ack the copy and probe, b"" to send the R values. It
-    prints nothing; interrupts are the loop's."""
+def _serve_probes(state: GameState, conn) -> None:
+    """The worker's loop: on b"r", copy the player that stepped, ack the
+    copy (None) and probe; on b"", send the R values. Its first exception
+    it sends at once, and it probes no more. It prints nothing; interrupts
+    are the loop's."""
     import signal
     import warnings
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     warnings.showwarning = lambda *args, **kwargs: None  # raised ones still raise
-    players = {}
-    for i, (tag, opt) in enumerate([(b"g", state.opt_g), (b"q", state.opt_q)]):
+    copies = []  # per player, (private, shared)
+    for opt in (state.opt_g, state.opt_q):
         shared = opt._buf
         opt._buf = np.empty_like(shared)
         opt._pack()  # the worker's players view its private copies
-        players[tag] = i, opt._buf, shared
-    memo = ProbeMemo(versions=np.zeros(2, dtype=np.int64))
-    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, memo)
+        copies.append((opt._buf, shared))
+    cache = ProbeCache()
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, cache)
     values, failed = [], False
     try:
-        os.write(acks, b"gq")  # the loop may step either player
-        while tag := conn.recv_bytes():
-            if tag != b"r":  # that player stepped
-                i, private, shared = players[tag]
-                np.copyto(private, shared)
-                memo.versions[i] += 1
-                os.write(acks, tag)
-            if not failed:
-                try:
-                    values.append(probe_game_value(*probe))
-                except Exception as e:
-                    failed = True
-                    conn.send(e)
+        conn.send(None)  # the loop may step G
+        conn.send(None)  # and then Q
+        while conn.recv_bytes():
+            if failed:
+                continue
+            if place := cache.count % 3:  # G stepped before place 1, Q before 2
+                np.copyto(*copies[place - 1])
+                conn.send(None)
+            try:
+                values.append(probe_game_value(*probe))
+            except Exception as e:
+                failed = True
+                conn.send(e)
         conn.send(values)
     except (EOFError, OSError):
-        pass  # the loop closed its ends
+        pass  # the loop closed its end
 
 
 def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,

@@ -65,12 +65,11 @@ class NetworkSpec:
     input_dim: int = 20
     hidden: tuple[int, ...] = (64, 64)
     class_count: int = 10
-    batch_norm: bool = True
 
     def __post_init__(self):
         # a width of 0 divides by 0
         check_fields(self, at_least={"input_dim": 1, "hidden": 1, "class_count": 2})
-        if not self.batch_norm or not self.hidden:
+        if not self.hidden:
             raise ValueError("architecture needs at least one BN layer")
 
 
@@ -101,31 +100,30 @@ class BNStatsRecord:
 
 
 class Memo:
-    """The value last computed from some arrays, kept while they hold the
-    same values. Arrays are written in place (optimizer steps, checkpoint
-    loads, finite-difference probes), so neither identity nor a step count
-    can tell that an array is unchanged; only its values can."""
+    """The value last computed from an array, kept while it holds the same
+    values. Arrays are written in place (optimizer steps, checkpoint loads,
+    finite-difference probes), so neither identity nor a step count can
+    tell that an array is unchanged; only its values can."""
 
     def __init__(self):
-        self._key = None  # copies of the arrays last computed from
+        self._key = None  # a copy of the array last computed from
         self._value = None
 
-    def get(self, arrays, compute):
-        """The kept value while `arrays` have the kept copies' shapes,
-        dtypes and values, else `compute()`, kept with copies of `arrays`:
-        written into the old copies when their shapes and dtypes match,
-        fresh otherwise. A raising `compute` keeps the old key and value."""
+    def get(self, array: np.ndarray, compute):
+        """The kept value while `array` has the kept copy's shape, dtype and
+        values, else `compute()`, kept with a copy of `array`: written into
+        the old copy when its shape and dtype match, fresh otherwise. A
+        raising `compute` keeps the old key and value."""
         key = self._key
-        same_layout = key is not None and len(key) == len(arrays) and all(
-            k.shape == a.shape and k.dtype == a.dtype for k, a in zip(key, arrays))
-        if same_layout and all(map(np.array_equal, key, arrays)):
+        same_layout = (key is not None and key.shape == array.shape
+                       and key.dtype == array.dtype)
+        if same_layout and np.array_equal(key, array):
             return self._value
         self._value = compute()
         if same_layout:
-            for k, a in zip(key, arrays):
-                np.copyto(k, a)
+            np.copyto(key, array)
         else:
-            self._key = [a.copy() for a in arrays]
+            self._key = array.copy()
         return self._value
 
 
@@ -249,7 +247,7 @@ class QuantizedMLP(_BlockStack):
             return out
 
         # straight-through, as in fake_quantize
-        return Tensor._node(self._weight_memos[slot].get([w.data], quantize),
+        return Tensor._node(self._weight_memos[slot].get(w.data, quantize),
                             (w,), lambda g: g)
 
     def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
@@ -337,10 +335,6 @@ def accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
     return float((pred == labels).mean())
 
 
-def build_p(spec: NetworkSpec, rng) -> MLP:
-    return MLP(spec, rng)
-
-
 def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
                epochs: int = 30, lr: float = 1e-3, batch_size: int = 32,
                rng=None) -> float:
@@ -395,7 +389,7 @@ def collect_generated_bns(p: MLP, x: Tensor) -> BNStatsRecord:
 # f64 arrays little-endian in header order.
 
 _MAGIC = b"ADSG"
-_VERSION = 1
+_VERSION = 2
 
 
 # kind -> (network class, spec class)

@@ -241,7 +241,7 @@ def pretrain(config: ExperimentConfig):
     """Build the dataset and pretrain P; returns (p, (train_x, train_y,
     test_x, test_y), held-out accuracy of P)."""
     data = synth_dataset(config.dataset, _stream_seed(config.seed, 0))
-    p = nets.build_p(config.network, seeded_rng(_stream_seed(config.seed, 1)))
+    p = nets.MLP(config.network, seeded_rng(_stream_seed(config.seed, 1)))
     p_acc = nets.pretrain_p(
         p, *data, epochs=config.pretrain_epochs, lr=config.pretrain_lr,
         batch_size=config.pretrain_batch,

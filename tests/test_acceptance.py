@@ -29,7 +29,6 @@ from dfqgame.engine import Tensor, seeded_rng
 from dfqgame.game import (
     HyperParams,
     bg_halving_trial,
-    calibration_loss,
     generator_loss,
     loss_as,
     loss_bound,
@@ -173,7 +172,7 @@ def test_criterion_1_math_oracles(capsys):
         # temperature-softened calibration loss and the game value
         o_tau = oracle_softmax_rows(z_p - z_q, tau)
         o_tau_hn, _ = oracle_normalize(oracle_entropy(o_tau), classes)
-        assert track(calibration_loss(lp, tau).item(),
+        assert track(game_value(lp, tau).item(),
                      1.0 - sum(o_tau_hn) / batch)
         assert track(game_value(lp).item(), 1.0 - sum(o_hn) / batch)
 
@@ -302,7 +301,7 @@ def test_criterion_2_gradient_suite(capsys):
 
         def eval_l_q():
             lp = LogitsPair(z_p_fixed, q.forward(x_fixed, mode="eval"))
-            return calibration_loss(lp, tau, batch_min=bm_q)
+            return game_value(lp, tau, batch_min=bm_q)
 
         g_params = g.parameters()
         q_params = q.parameters()
@@ -326,7 +325,7 @@ def pretrained_seed0():
     cfg = xp.default_config()
     seeds = np.random.SeedSequence(0).spawn(4)
     data = xp.synth_dataset(cfg.dataset, int(seeds[0].generate_state(1)[0]))
-    p = nets.build_p(cfg.network, seeded_rng(int(seeds[1].generate_state(1)[0])))
+    p = nets.MLP(cfg.network, seeded_rng(int(seeds[1].generate_state(1)[0])))
     nets.pretrain_p(p, data[0], data[1], data[2], data[3],
                     epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr,
                     batch_size=cfg.pretrain_batch,

@@ -13,7 +13,7 @@ from dfqgame import adapt, engine, game, nets
 from dfqgame.adapt import normalize_entropy
 from dfqgame.engine import BatchNorm, Tensor, seeded_rng
 from dfqgame.game import HyperParams, draw_batch, generator_loss
-from dfqgame.nets import Generator, GeneratorSpec, NetworkSpec, build_p, init_q_from_p
+from dfqgame.nets import Generator, GeneratorSpec, NetworkSpec, init_q_from_p
 from dfqgame.quant import QuantConfig
 
 # -- the reference tape: the four ops composed from primitive nodes -------------
@@ -203,7 +203,7 @@ def use_reference_tape(monkeypatch):
 def player_gradients(cfg, mode):
     """Gradients of G's loss (the max step) and of Q's (the min step), and of
     P's cross-entropy in `mode`, all on fixed seeds."""
-    p = build_p(SMALL, seeded_rng(3))
+    p = nets.MLP(SMALL, seeded_rng(3))
     for _ in range(2):  # move the running statistics off their initial values
         p.forward(Tensor(seeded_rng(4).standard_normal((8, 6))), mode="train")
     q = init_q_from_p(p, cfg)

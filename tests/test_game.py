@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from dfqgame.game import (
     LOSS_NAMES,
     ablation_config,
     bg_halving_trial,
-    calibration_loss,
     draw_batch,
     generator_loss,
     init_game,
@@ -43,7 +41,6 @@ from dfqgame.nets import (
     GeneratorSpec,
     NetworkSpec,
     NumericalError,
-    build_p,
     init_q_from_p,
     one_hot,
     pretrain_p,
@@ -58,7 +55,7 @@ SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=
 def trained_setup():
     spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=40)
     tx, ty, sx, sy = xp.synth_dataset(spec, 0)
-    p = build_p(SMALL, seeded_rng(3))
+    p = nets.MLP(SMALL, seeded_rng(3))
     pretrain_p(p, tx, ty, sx, sy, epochs=40, rng=seeded_rng(4))
     return p, (sx, sy)
 
@@ -203,7 +200,7 @@ class TestCalibrationLoss:
         p, _ = trained_setup
         rng = seeded_rng(5)
         lp = LogitsPair(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
-        assert calibration_loss(lp, tau=1.0).item() == pytest.approx(
+        assert game_value(lp, tau=1.0).item() == pytest.approx(
             game_value(lp).item(), abs=1e-12)
 
     def test_temperature_softens_distribution(self):
@@ -281,7 +278,7 @@ class TestSpentGradients:
     def test_pretrain_p_releases_p_gradients(self):
         spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=20)
         tx, ty, sx, sy = xp.synth_dataset(spec, 0)
-        p = build_p(SMALL, seeded_rng(3))
+        p = nets.MLP(SMALL, seeded_rng(3))
         pretrain_p(p, tx, ty, sx, sy, epochs=1, rng=seeded_rng(4))
         assert all(t.grad is None for t in p.parameters())
 
@@ -408,116 +405,59 @@ class TestProbe:
         assert v1 == v2
 
 
-def _bump(array):
-    """An in-place write that moves every entry."""
-    array *= 1.5
-    array += 0.25
+class TestProbeCache:
+    """A probe with the game's cache returns bitwise what an uncached probe
+    returns, and runs only the forwards its place in the iteration names."""
 
+    def test_every_cached_probe_equals_an_uncached_one(self, trained_setup,
+                                                       probe_path, monkeypatch,
+                                                       tmp_path):
+        """Each process that evaluates R writes, for each of its probes,
+        the cache's count, the cached R and an uncached R at that point."""
+        probe, seen = game.probe_game_value, tmp_path / "probes"
 
-# In-place writes to each array the probe reads; each one moves R, so a
-# memo that misses it returns a stale value.
-PROBE_WRITES = {
-    "g_parameter": lambda s: _bump(s.g.blocks[0][0].weight.data),
-    "p_parameter": lambda s: _bump(s.p.head.weight.data),
-    "p_running_stat": lambda s: _bump(s.p.blocks[0][1].running_var),
-    "q_running_stat": lambda s: _bump(s.q.blocks[1][1].running_mean),
-    "q_parameter": lambda s: _bump(s.q.head.weight.data),
-    "probe_z": lambda s: _bump(s.probe_z.data),
-}
+        def compared(*args):
+            r = probe(*args)
+            if isinstance(args[-1], game.ProbeCache):
+                with open(seen, "a") as f:
+                    f.write(f"{args[-1].count - 1} {r.hex()} {probe(*args[:-1]).hex()}\n")
+            return r
 
-
-class TestProbeMemo:
-    """A probe with the state's memo returns bitwise what a fresh probe
-    returns, and runs no forward whose inputs are unchanged."""
-
-    @staticmethod
-    def _state(p):
-        p = copy.deepcopy(p)  # the writes below must not reach the fixture
+        monkeypatch.setattr(game, "probe_game_value", compared)
+        p, eval_data = trained_setup
         q, g = fresh_players(p)
-        return init_game(p, q, g, HyperParams(), seeded_rng(0))
+        # a learning-rate decay and an evaluation between iterations as well
+        hp = HyperParams(epochs=2, iters_per_epoch=3, lr_decay_period=1)
+        with deadline(60):
+            run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data, eval_period=1)
+        rows = [line.split() for line in seen.read_text().splitlines()]
+        assert [int(k) for k, _, _ in rows] == list(range(3 * 6))
+        assert all(cached == fresh for _, cached, fresh in rows)
 
-    @staticmethod
-    def _probe(state, memo=None):
-        return probe_game_value(state.g, state.p, state.q, state.probe_z,
-                                state.probe_y, memo)
-
-    @pytest.mark.parametrize("write", sorted(PROBE_WRITES))
-    def test_in_place_write_is_seen(self, trained_setup, write):
-        state = self._state(trained_setup[0])
-        before = self._probe(state, state.probe_memo)
-        PROBE_WRITES[write](state)
-        fresh = self._probe(state)
-        assert fresh != before
-        assert self._probe(state, state.probe_memo) == fresh
-
-    def test_write_back_after_an_iteration_is_seen(self, trained_setup):
-        state = self._state(trained_setup[0])
-        arrays = [a for _, a in state.g.named_arrays() + state.q.named_arrays()]
-        kept = [a.copy() for a in arrays]
-        before = self._probe(state, state.probe_memo)
-        rng = seeded_rng(1)
-        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
-        assert self._probe(state, state.probe_memo) != before
-        for dst, src in zip(arrays, kept):
-            dst[...] = src  # in place: every array keeps its identity
-        assert self._probe(state, state.probe_memo) == self._probe(state) == before
-
-    def test_forwards_run_only_for_changed_players(self, trained_setup, monkeypatch):
-        state = self._state(trained_setup[0])
-        calls = []
+    def test_each_place_runs_its_forwards(self, trained_setup, monkeypatch):
+        p = trained_setup[0]
+        q, g = fresh_players(p)
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        calls, runs = [], []
         for cls in (nets.Generator, nets.MLP, nets.QuantizedMLP):
             def counted(net, *args, _forward=cls.forward, **kwargs):
                 calls.append(type(net).__name__)
                 return _forward(net, *args, **kwargs)
             monkeypatch.setattr(cls, "forward", counted)
+        probe = game.probe_game_value
 
-        r = self._probe(state, state.probe_memo)
-        assert calls == ["Generator", "MLP", "QuantizedMLP"]
-        calls.clear()
-        assert self._probe(state, state.probe_memo) == r
-        assert calls == []
-        _bump(state.q.head.bias.data)
-        self._probe(state, state.probe_memo)
-        assert calls == ["QuantizedMLP"]
+        def recorded(*args):
+            calls.clear()
+            r = probe(*args)
+            runs.append(list(calls))
+            return r
 
-        # From the second iteration on, the first probe repeats the last
-        # one and the third shares G and P with the second: G and P run
-        # in the two steps and the second probe, Q also in the third.
+        monkeypatch.setattr(game, "probe_game_value", recorded)
         rng = seeded_rng(1)
-        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
-        calls.clear()
-        play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
-        assert Counter(calls) == {"Generator": 3, "MLP": 3, "QuantizedMLP": 4}
-
-    def test_a_worker_memo_is_keyed_by_its_copy_counts(self, trained_setup,
-                                                       monkeypatch):
-        """With `versions`, a new count reruns the forwards it keys although
-        the values are as they were, and a write the counts miss is not
-        seen: in the worker only a copy changes what the probe reads."""
-        state = self._state(trained_setup[0])
-        calls = []
-        for cls in (nets.Generator, nets.MLP, nets.QuantizedMLP):
-            def counted(net, *args, _forward=cls.forward, **kwargs):
-                calls.append(type(net).__name__)
-                return _forward(net, *args, **kwargs)
-            monkeypatch.setattr(cls, "forward", counted)
-        memo = game.ProbeMemo(versions=np.zeros(2, dtype=np.int64))
-
-        r = self._probe(state, memo)
-        assert calls == ["Generator", "MLP", "QuantizedMLP"]
-        assert r == self._probe(state)
-        calls.clear()
-        memo.versions[1] += 1
-        assert self._probe(state, memo) == r
-        assert calls == ["QuantizedMLP"]
-        calls.clear()
-        memo.versions[0] += 1
-        assert self._probe(state, memo) == r
-        assert calls == ["Generator", "MLP", "QuantizedMLP"]
-        calls.clear()
-        _bump(state.q.head.bias.data)
-        assert self._probe(state, memo) == r
-        assert calls == []
+        for _ in range(3):
+            play_iteration(state, draw_batch(rng, 16, 5, 4), draw_batch(rng, 16, 5, 4))
+        every, q_only = ["Generator", "MLP", "QuantizedMLP"], ["QuantizedMLP"]
+        assert runs == [every, every, q_only] + [[], every, q_only] * 2
 
 
 class TestAblation:
@@ -629,11 +569,12 @@ def plain_game(p, hp, rng, eval_data, eval_period):
 
 def fail_on_r_evaluation(monkeypatch, k):
     """Make the k-th R evaluation raise NumericalError, counted in the
-    process that evaluates R: the one whose probe calls carry a ProbeMemo."""
+    process that evaluates R: the one whose probe calls do not hand the
+    probe to a ProbeWorker."""
     probe, evaluations = game.probe_game_value, []
 
     def failing(*args):
-        if isinstance(args[-1], game.ProbeMemo):
+        if not isinstance(args[-1], game.ProbeWorker):
             evaluations.append(None)
             if len(evaluations) == k:
                 raise NumericalError(f"R evaluation {k} failed")
@@ -718,10 +659,12 @@ class TestProbeWorker:
     HP = HyperParams(epochs=3, iters_per_epoch=4, lr_decay_period=1,
                      lr_decay_factor=0.5)
 
-    def _run(self, p, eval_data):
+    def _run(self, p, eval_data, hp=HP):
+        """run_game on fresh players; a hang fails instead."""
         q, g = fresh_players(p)
-        return run_game(p, q, g, self.HP, seeded_rng(0), eval_data=eval_data,
-                        eval_period=2)
+        with deadline(60):
+            return run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data,
+                            eval_period=2)
 
     def test_equals_a_plain_loop(self, trained_setup, probe_path):
         p, eval_data = trained_setup
@@ -760,7 +703,8 @@ class TestProbeWorker:
                 "[network]\nhidden = 8,8\n"
                 "[generator]\nnoise_dim = 5\nhidden = 8,8\n"
                 "[hyperparams]\nepochs = 2\niters_per_epoch = 3\n")
-            code = cli.main(["train", "--config", str(ini)])
+            with deadline(60):
+                code = cli.main(["train", "--config", str(ini)])
             ends.append((code, capsys.readouterr(),
                          (out / "metrics.csv").read_text().splitlines()))
         assert ends[0] == ends[1]
@@ -864,16 +808,13 @@ class TestProbeWorker:
     @pytest.mark.parametrize("frozen_player", ["lr_g", "lr_q"])
     def test_a_player_that_never_moves_equals_a_plain_loop(
             self, trained_setup, probe_path, frozen_player):
-        """Its steps leave its values as they were: the value-keyed memo
-        hits where the worker's count-keyed one recomputes."""
+        """Its steps leave its values as they were, and the probes still
+        recompute where it steps."""
         p, eval_data = trained_setup
         hp = replace(self.HP, **{frozen_player: 0.0})
         ref, message = plain_game(p, hp, seeded_rng(0), eval_data, 2)
         assert message is None
-        q, g = fresh_players(p)
-        with deadline(60):
-            state = run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data,
-                             eval_period=2)
+        state = self._run(p, eval_data, hp)
         assert logs_and_players(state) == logs_and_players(ref)
 
     def test_a_worker_slow_to_copy_equals_a_plain_loop(self, trained_setup,
@@ -883,8 +824,7 @@ class TestProbeWorker:
         in_the_worker(monkeypatch, lambda: time.sleep(0.01))
         p, eval_data = trained_setup
         ref, _ = plain_game(p, self.HP, seeded_rng(0), eval_data, 2)
-        with deadline(60):
-            state = self._run(p, eval_data)
+        state = self._run(p, eval_data)
         assert logs_and_players(state) == logs_and_players(ref)
 
     def test_a_worker_that_dies_before_a_copy_is_an_error_not_a_hang(
@@ -897,7 +837,7 @@ class TestProbeWorker:
             os._exit(9)
 
         in_the_worker(monkeypatch, die)
-        with deadline(60), pytest.raises(RuntimeError, match=r"exit code 9\)"):
+        with pytest.raises(RuntimeError, match=r"exit code 9\)"):
             self._run(*trained_setup)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -915,8 +855,7 @@ class TestProbeWorker:
 
             monkeypatch.setattr(game, "minimization_step", interrupted)
         before = open_fds()
-        with deadline(60), (pytest.raises(expected) if expected
-                            else contextlib.nullcontext()):
+        with pytest.raises(expected) if expected else contextlib.nullcontext():
             self._run(*trained_setup)
         assert open_fds() == before
 

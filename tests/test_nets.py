@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfqgame import xp
+from dfqgame import nets, xp
 from dfqgame.engine import (
     SgdNesterovState,
     ShapeMismatchError,
@@ -24,7 +24,6 @@ from dfqgame.nets import (
     NumericalError,
     QuantizedMLP,
     accuracy,
-    build_p,
     collect_generated_bns,
     cross_entropy,
     init_q_from_p,
@@ -48,7 +47,7 @@ def small_dataset(seed=0, per_class=40):
 class TestMemo:
     def test_raising_compute_keeps_the_old_key_and_value(self):
         memo, a = Memo(), np.arange(3.0)
-        assert memo.get([a], lambda: "first") == "first"
+        assert memo.get(a, lambda: "first") == "first"
 
         def diverge():
             raise NumericalError("diverged")
@@ -56,56 +55,54 @@ class TestMemo:
         a += 1.0
         for _ in range(2):  # a miss both times: the key is still the old a
             with pytest.raises(NumericalError):
-                memo.get([a], diverge)
+                memo.get(a, diverge)
         a -= 1.0
-        assert memo.get([a], diverge) == "first"
+        assert memo.get(a, diverge) == "first"
 
     def test_a_same_shape_miss_writes_into_the_kept_copies(self):
-        memo, a, b = Memo(), np.arange(6.0).reshape(2, 3), np.arange(4)
-        memo.get([a, b], lambda: "first")
-        kept = list(memo._key)
-        a[0, 0], b[1] = 9.0, 7
-        assert memo.get([a, b], lambda: "second") == "second"
-        assert all(k is c for k, c in zip(memo._key, kept))
-        assert all(np.array_equal(k, c) for k, c in zip(kept, (a, b)))
+        memo, a = Memo(), np.arange(6.0).reshape(2, 3)
+        memo.get(a, lambda: "first")
+        kept = memo._key
+        a[0, 0] = 9.0
+        assert memo.get(a, lambda: "second") == "second"
+        assert memo._key is kept
+        assert np.array_equal(kept, a)
 
     @pytest.mark.parametrize("changed", [
-        [np.arange(6.0), np.arange(4)],          # a shape
-        [np.arange(6.0).reshape(2, 3), np.arange(4.0) + 0.5],  # a dtype
-        [np.arange(6.0).reshape(2, 3)],          # the number of arrays
-    ], ids=["shape", "dtype", "count"])
+        np.arange(6.0),                  # a shape
+        np.arange(6).reshape(2, 3),      # a dtype, with the same values
+    ], ids=["shape", "dtype"])
     def test_a_changed_layout_takes_fresh_copies(self, changed):
         memo = Memo()
-        memo.get([np.arange(6.0).reshape(2, 3), np.arange(4)], lambda: "first")
-        kept = list(memo._key)
+        memo.get(np.arange(6.0).reshape(2, 3), lambda: "first")
+        kept = memo._key
         assert memo.get(changed, lambda: "second") == "second"
-        assert not any(k is c for k in memo._key for c in kept)
-        assert [(k.shape, k.dtype) for k in memo._key] == [
-            (c.shape, c.dtype) for c in changed]
+        assert memo._key is not kept
+        assert (memo._key.shape, memo._key.dtype) == (changed.shape, changed.dtype)
         assert memo.get(changed, lambda: "third") == "second"
 
     def test_equal_values_in_another_dtype_miss(self):
         memo = Memo()
-        memo.get([np.arange(4)], lambda: "int")
-        assert memo.get([np.arange(4.0)], lambda: "float") == "float"
-        assert memo._key[0].dtype == np.float64
+        memo.get(np.arange(4), lambda: "int")
+        assert memo.get(np.arange(4.0), lambda: "float") == "float"
+        assert memo._key.dtype == np.float64
 
     def test_the_keys_stay_private_copies(self):
         memo, a = Memo(), np.zeros(5)
-        memo.get([a], lambda: "first")
+        memo.get(a, lambda: "first")
         a += 1.0
-        assert memo.get([a], lambda: "second") == "second"  # copied in place
+        assert memo.get(a, lambda: "second") == "second"  # copied in place
         a[2] = -1.0  # the caller's later in-place write is still seen
-        assert memo.get([a], lambda: "third") == "third"
-        assert not any(np.shares_memory(k, a) for k in memo._key)
+        assert memo.get(a, lambda: "third") == "third"
+        assert not np.shares_memory(memo._key, a)
 
     def test_a_wide_same_shape_miss_allocates_no_copy(self):
         memo, w = Memo(), seeded_rng(0).standard_normal((512, 512))
-        memo.get([w], lambda: "first")
+        memo.get(w, lambda: "first")
         w *= 0.5
         tracemalloc.start()
         try:
-            assert memo.get([w], lambda: "second") == "second"
+            assert memo.get(w, lambda: "second") == "second"
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -127,10 +124,11 @@ class TestSpecs:
             spec(**{name: value})
 
     def test_batch_norm_required(self):
-        with pytest.raises(ValueError):
-            NetworkSpec(batch_norm=False)
+        """Every hidden layer has batch norm, so a network needs one."""
         with pytest.raises(ValueError):
             NetworkSpec(hidden=())
+        with pytest.raises(TypeError):
+            NetworkSpec(batch_norm=False)  # not a setting
 
 
 class TestHelpers:
@@ -189,19 +187,19 @@ class TestMLP:
 
     def test_untrained_accuracy_near_chance(self):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         acc = pretrain_p(p, tx, ty, sx, sy, epochs=0)
         assert acc <= 0.6  # 4 classes; untrained stays near 0.25
 
     def test_pretraining_learns_the_task(self):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         acc = pretrain_p(p, tx, ty, sx, sy, epochs=60, rng=seeded_rng(4))
         assert acc >= 0.85
 
     def test_a_one_sample_last_batch_is_skipped(self):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         # 33 samples: a batch of 32, then one of a single sample
         pretrain_p(p, tx[:33], ty[:33], sx, sy, epochs=2, batch_size=32,
                    rng=seeded_rng(4))
@@ -209,7 +207,7 @@ class TestMLP:
 
     def test_label_range_checked(self):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         with pytest.raises(ValueError):
             pretrain_p(p, tx, ty + 10, sx, sy, epochs=1)
 
@@ -217,7 +215,7 @@ class TestMLP:
 class TestQuantizedMLP:
     def _trained_p(self):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         pretrain_p(p, tx, ty, sx, sy, epochs=25, rng=seeded_rng(4))
         return p, sx, sy
 
@@ -366,7 +364,7 @@ class TestCheckpoints:
 
     def test_round_trip_forward_identical(self, tmp_path):
         tx, ty, sx, sy = small_dataset()
-        p = build_p(SMALL, seeded_rng(3))
+        p = MLP(SMALL, seeded_rng(3))
         pretrain_p(p, tx, ty, sx, sy, epochs=5, rng=seeded_rng(4))
         save_checkpoint(p, tmp_path / "p.ckpt")
         p2 = load_checkpoint(tmp_path / "p.ckpt")
@@ -412,6 +410,17 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_a_version_1_file_is_rejected(self, tmp_path):
+        """Version 1 headers held NetworkSpec's `batch_norm`, which is gone."""
+        net = MLP(SMALL, seeded_rng(7))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            load_checkpoint(path)
+
     def test_corrupt_header_rejected(self, tmp_path):
         net = MLP(SMALL, seeded_rng(7))
         path = tmp_path / "net.ckpt"
@@ -425,7 +434,7 @@ class TestCheckpoints:
     def test_deeply_nested_header_rejected(self, tmp_path):
         path = tmp_path / "deep.ckpt"
         blob = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON decoder recurses
-        path.write_bytes(b"ADSG" + (1).to_bytes(4, "little")
+        path.write_bytes(b"ADSG" + nets._VERSION.to_bytes(4, "little")
                          + len(blob).to_bytes(8, "little") + blob)
         with pytest.raises(CheckpointError, match="corrupt header"):
             load_checkpoint(path)

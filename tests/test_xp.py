@@ -166,8 +166,7 @@ class TestConfigFiles:
     def test_every_setting_is_a_key(self):
         """config.ini holds every setting, so replaying it replays the run;
         only the fields that follow from others are exempt."""
-        derived = {("network", "batch_norm"),     # must be true
-                   ("generator", "output_dim"),   # follows the network
+        derived = {("generator", "output_dim"),   # follows the network
                    ("generator", "class_count")}
         cfg = default_config()
         for _, attr, keys in xp._SECTIONS:
