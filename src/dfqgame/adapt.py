@@ -22,7 +22,6 @@ from .engine import Tensor, softmax
 _ENTROPY_FLOOR = 1e-300
 # guards the normalization denominator when a whole batch is aligned
 NORM_EPS = 1e-8
-SIMPLEX_TOL = 1e-9
 
 
 @dataclass
@@ -72,16 +71,11 @@ def agreement_distribution(lp: LogitsPair) -> Tensor:
     return softmax(lp.z_p + lp.z_q, axis=-1)
 
 
-def info_entropy(p, validate: bool = True) -> Tensor:
+def info_entropy(p) -> Tensor:
     """Row-wise Shannon entropy in nats, with 0 * ln(1/0) taken as 0. One
     tape node."""
     if not isinstance(p, Tensor):
         p = Tensor(p)
-    if validate:
-        rows = p.data
-        if np.any(rows < -SIMPLEX_TOL) or np.any(
-                np.abs(rows.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
-            raise ValueError("info_entropy: rows must lie on the simplex")
     mask = p.data > _ENTROPY_FLOOR
     c = np.where(mask, p.data, _ENTROPY_FLOOR)
     log_c = np.log(c)
@@ -123,7 +117,7 @@ def game_value(lp: LogitsPair, tau: float = 1.0,
     disagreement distribution softened by temperature `tau`. At the
     configured tau this is Q's calibration loss."""
     p_ds = softmax(lp.z_p - lp.z_q, axis=-1, temperature=tau)
-    h_info = info_entropy(p_ds, validate=False)
+    h_info = info_entropy(p_ds)
     h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
     return 1.0 - h_norm.mean()
 

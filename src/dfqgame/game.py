@@ -108,8 +108,10 @@ class ProbeCache:
     in batch mode, does not read), the min step Q's parameters; P is
     frozen and the probe batch fixed. So the k-th probe (k from 0) reruns
     G's and P's forwards only at k % 3 == 1 and R only at k % 3 != 0;
-    probe 0 runs both, and every other returns the last R. A write made
-    between probes by anything but the steps is not seen."""
+    probe 0 runs both, and every other returns the last R. By the same
+    rule Q requantizes its weights only after its step, which calls
+    `QuantizedMLP.weights_moved` (in a worker, after it copies Q). A write
+    made by anything but the steps is not seen."""
 
     count: int = 0
     xz: tuple | None = None
@@ -186,7 +188,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     lp = _logits_pair(z_p, q.forward(x, mode="eval"))
     p_ds = disagreement_distribution(lp)
     p_as = agreement_distribution(lp)
-    h_info = info_entropy(p_ds, validate=False)
+    h_info = info_entropy(p_ds)
     h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
 
     l_ds = loss_ds(p_ds, y)
@@ -272,6 +274,7 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
         raise NumericalError(f"non-finite calibration loss: {l_q.item()}")
     l_q.backward()
     state.opt_q.step()
+    state.q.weights_moved()
     return l_q.item()
 
 
@@ -447,6 +450,8 @@ def _serve_probes(state: GameState, conn) -> None:
                 continue
             if place := cache.count % 3:  # G stepped before place 1, Q before 2
                 np.copyto(*copies[place - 1])
+                if place == 2:
+                    state.q.weights_moved()
                 conn.send(None)
             try:
                 values.append(probe_game_value(*probe))

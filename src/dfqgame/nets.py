@@ -99,34 +99,6 @@ class BNStatsRecord:
     var_stored: list      # list[np.ndarray]
 
 
-class Memo:
-    """The value last computed from an array, kept while it holds the same
-    values. Arrays are written in place (optimizer steps, checkpoint loads,
-    finite-difference probes), so neither identity nor a step count can
-    tell that an array is unchanged; only its values can."""
-
-    def __init__(self):
-        self._key = None  # a copy of the array last computed from
-        self._value = None
-
-    def get(self, array: np.ndarray, compute):
-        """The kept value while `array` has the kept copy's shape, dtype and
-        values, else `compute()`, kept with a copy of `array`: written into
-        the old copy when its shape and dtype match, fresh otherwise. A
-        raising `compute` keeps the old key and value."""
-        key = self._key
-        same_layout = (key is not None and key.shape == array.shape
-                       and key.dtype == array.dtype)
-        if same_layout and np.array_equal(key, array):
-            return self._value
-        self._value = compute()
-        if same_layout:
-            np.copyto(key, array)
-        else:
-            self._key = array.copy()
-        return self._value
-
-
 class Affine:
     def __init__(self, in_dim: int, out_dim: int, rng=None):
         if rng is None:
@@ -222,13 +194,20 @@ class QuantizedMLP(_BlockStack):
     cfg=None disables quantization entirely (exact copy of P's math),
     which the gradient test harness uses to check everything around the
     straight-through estimator.
+
+    Each weight is fake-quantized once and kept until `weights_moved`
+    drops the kept copies: whatever writes Q's weights after its first
+    forward calls it (in a game, Q's own step; see game.ProbeCache).
     """
 
     def __init__(self, spec: NetworkSpec, cfg: QuantConfig | None, rng=None):
         super().__init__(spec, spec.input_dim, spec.class_count, rng)
         self.cfg = cfg
-        # one per weight, in forward order; the bit width is fixed here
-        self._weight_memos = [Memo() for _ in range(len(self.blocks) + 1)]
+        self.weights_moved()
+
+    def weights_moved(self) -> None:
+        """Drop the kept quantized weights; the next forward requantizes."""
+        self._weights_q = [None] * (len(self.blocks) + 1)  # in forward order
 
     def _fq(self, t: Tensor) -> Tensor:
         if self.cfg is None:
@@ -236,19 +215,16 @@ class QuantizedMLP(_BlockStack):
         return fake_quantize(t, self.cfg.bits)
 
     def _fq_weight(self, slot: int, w: Tensor) -> Tensor:
-        """fake_quantize(w), re-quantized only when w's values change."""
+        """fake_quantize(w), kept until `weights_moved`."""
         if self.cfg is None:
             return w
-
-        def quantize():  # no graph: the node below is built on every call
-            with frozen([w]):
+        if self._weights_q[slot] is None:
+            with frozen([w]):  # no graph: the node below is built on every call
                 out = fake_quantize(w, self.cfg.bits).data
-            out.flags.writeable = False  # shared by every later hit
-            return out
-
+            out.flags.writeable = False  # shared by every later forward
+            self._weights_q[slot] = out
         # straight-through, as in fake_quantize
-        return Tensor._node(self._weight_memos[slot].get(w.data, quantize),
-                            (w,), lambda g: g)
+        return Tensor._node(self._weights_q[slot], (w,), lambda g: g)
 
     def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
         return self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias

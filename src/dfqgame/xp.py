@@ -10,7 +10,7 @@ import configparser
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -121,25 +121,30 @@ def default_config() -> ExperimentConfig:
 
 
 # INI section, the ExperimentConfig field it fills ("" for the top level),
-# and its keys in file order. A value's type is that of the field default.
+# and the fields of that dataclass that are no keys: the nested sections,
+# and the generator's dimensions, which follow the network's.
 _SECTIONS = (
-    ("experiment", "", ("seed", "bits", "out_dir", "eval_period",
-                        "pretrain_epochs", "pretrain_lr", "pretrain_batch")),
-    ("dataset", "dataset", ("class_count", "input_dim", "samples_per_class",
-                            "cluster_scale", "pair_offset", "spread")),
-    ("network", "network", ("input_dim", "hidden", "class_count")),
-    ("generator", "generator", ("noise_dim", "hidden")),
-    ("hyperparams", "hp", ("alpha", "beta", "gamma", "lambda_l", "lambda_u",
-                           "tau", "lr_g", "lr_q", "batch_size", "epochs",
-                           "iters_per_epoch", "lr_decay_factor",
-                           "lr_decay_period", "bns_stat", "disable")),
+    ("experiment", "", ("dataset", "network", "generator", "hp")),
+    ("dataset", "dataset", ()),
+    ("network", "network", ()),
+    ("generator", "generator", ("output_dim", "class_count")),
+    ("hyperparams", "hp", ()),
 )
+
+
+def _sections(cfg: ExperimentConfig):
+    """(section, field, dataclass in `cfg`, keys) in file order; the keys
+    are the dataclass's other fields, in field order, and a value's type
+    is that of the field default."""
+    for section, attr, not_keys in _SECTIONS:
+        owner = getattr(cfg, attr) if attr else cfg
+        keys = [f.name for f in fields(owner) if f.name not in not_keys]
+        yield section, attr, owner, keys
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    for section, attr, keys in _SECTIONS:
-        owner = getattr(cfg, attr) if attr else cfg
+    for section, _, owner, keys in _sections(cfg):
         cp[section] = {key: _format(getattr(owner, key)) for key in keys}
     buf = io.StringIO()
     cp.write(buf)
@@ -173,12 +178,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown config section [{unknown[0]}]")
     base, kw = default_config(), {}
     try:
-        for section, attr, keys in _SECTIONS:
+        for section, attr, defaults, keys in _sections(base):
             given = dict(cp[section]) if cp.has_section(section) else {}
             unknown = set(given) - set(keys)
             if unknown:
                 raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-            defaults = getattr(base, attr) if attr else base
             kw[attr] = {key: _parse(value, getattr(defaults, key))
                         for key, value in given.items()}
         dataset = DatasetSpec(**kw["dataset"])

@@ -126,7 +126,7 @@ def test_criterion_1_math_oracles(capsys):
 
         p_ds = disagreement_distribution(lp)
         p_as = agreement_distribution(lp)
-        h_info = info_entropy(p_ds, validate=False)
+        h_info = info_entropy(p_ds)
         h_norm, _ = normalize_entropy(h_info, classes)
         h_c = adaptability_vector(p_ds, 1.0 - h_norm)
 
@@ -261,7 +261,7 @@ def test_criterion_2_gradient_suite(capsys):
         # pin the stop-gradient constants at their unperturbed values so the
         # finite differences probe exactly the function being differentiated
         lp0, _ = pair()
-        h0 = info_entropy(disagreement_distribution(lp0), validate=False)
+        h0 = info_entropy(disagreement_distribution(lp0))
         bm = float(h0.data.min())
         hn0 = (h0.data - bm) / (math.log(4) - bm + 1e-8)
         lam_l, lam_u = 0.3, 0.8
@@ -281,7 +281,7 @@ def test_criterion_2_gradient_suite(capsys):
 
         def eval_l_b():
             lp, _ = pair()
-            h = info_entropy(disagreement_distribution(lp), validate=False)
+            h = info_entropy(disagreement_distribution(lp))
             hn, _ = normalize_entropy(h, 4, batch_min=bm)
             return loss_bound(hn, lam_l, lam_u)
 
@@ -291,12 +291,11 @@ def test_criterion_2_gradient_suite(capsys):
         def eval_l_g():
             return generator_loss(g, p, q, z, y, hp, batch_min=bm)[0]
 
-        x_fixed = g.forward(z, y, mode="batch").detach()
-        z_p_fixed = p.forward(x_fixed, mode="eval").detach()
+        x_fixed = Tensor(g.forward(z, y, mode="batch").data.copy())
+        z_p_fixed = Tensor(p.forward(x_fixed, mode="eval").data.copy())
         lp_q0 = LogitsPair(z_p_fixed, q.forward(x_fixed, mode="eval"))
         hq = info_entropy(
-            Tensor(oracle_softmax_rows((lp_q0.z_p.data - lp_q0.z_q.data), tau)),
-            validate=False)
+            Tensor(oracle_softmax_rows((lp_q0.z_p.data - lp_q0.z_q.data), tau)))
         bm_q = float(hq.data.min())
 
         def eval_l_q():

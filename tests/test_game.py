@@ -45,7 +45,7 @@ from dfqgame.nets import (
     one_hot,
     pretrain_p,
 )
-from dfqgame.quant import QuantConfig
+from dfqgame.quant import QuantConfig, fake_quantize_array
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
 SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=4)
@@ -433,6 +433,32 @@ class TestProbeCache:
         rows = [line.split() for line in seen.read_text().splitlines()]
         assert [int(k) for k, _, _ in rows] == list(range(3 * 6))
         assert all(cached == fresh for _, cached, fresh in rows)
+
+    def test_every_q_forward_uses_its_current_weights(self, trained_setup,
+                                                      probe_path, monkeypatch,
+                                                      tmp_path):
+        """Each process that runs Q writes, for each quantized weight a
+        forward uses, its pid and whether it is bitwise a fresh
+        fake_quantize_array of the weight as it is then."""
+        fq_weight, seen = nets.QuantizedMLP._fq_weight, tmp_path / "weights"
+
+        def compared(q, slot, w):
+            out = fq_weight(q, slot, w)
+            fresh = fake_quantize_array(w.data, q.cfg.bits)
+            with open(seen, "a") as f:
+                f.write(f"{os.getpid()} {out.data.tobytes() == fresh.tobytes()}\n")
+            return out
+
+        monkeypatch.setattr(nets.QuantizedMLP, "_fq_weight", compared)
+        p, eval_data = trained_setup
+        q, g = fresh_players(p)
+        hp = HyperParams(epochs=2, iters_per_epoch=3, lr_decay_period=1)
+        with deadline(60):
+            run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data, eval_period=1)
+        rows = [line.split() for line in seen.read_text().splitlines()]
+        assert {same for _, same in rows} == {"True"}
+        pids = {int(pid) for pid, _ in rows}
+        assert os.getpid() in pids and len(pids) == 1 + (probe_path == "worker")
 
     def test_each_place_runs_its_forwards(self, trained_setup, monkeypatch):
         p = trained_setup[0]

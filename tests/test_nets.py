@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfqgame import nets, xp
+from dfqgame import game, nets, xp
 from dfqgame.engine import (
     SgdNesterovState,
     ShapeMismatchError,
@@ -19,9 +19,7 @@ from dfqgame.nets import (
     Generator,
     GeneratorSpec,
     MLP,
-    Memo,
     NetworkSpec,
-    NumericalError,
     QuantizedMLP,
     accuracy,
     collect_generated_bns,
@@ -42,71 +40,6 @@ SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=
 def small_dataset(seed=0, per_class=40):
     spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=per_class)
     return xp.synth_dataset(spec, seed)
-
-
-class TestMemo:
-    def test_raising_compute_keeps_the_old_key_and_value(self):
-        memo, a = Memo(), np.arange(3.0)
-        assert memo.get(a, lambda: "first") == "first"
-
-        def diverge():
-            raise NumericalError("diverged")
-
-        a += 1.0
-        for _ in range(2):  # a miss both times: the key is still the old a
-            with pytest.raises(NumericalError):
-                memo.get(a, diverge)
-        a -= 1.0
-        assert memo.get(a, diverge) == "first"
-
-    def test_a_same_shape_miss_writes_into_the_kept_copies(self):
-        memo, a = Memo(), np.arange(6.0).reshape(2, 3)
-        memo.get(a, lambda: "first")
-        kept = memo._key
-        a[0, 0] = 9.0
-        assert memo.get(a, lambda: "second") == "second"
-        assert memo._key is kept
-        assert np.array_equal(kept, a)
-
-    @pytest.mark.parametrize("changed", [
-        np.arange(6.0),                  # a shape
-        np.arange(6).reshape(2, 3),      # a dtype, with the same values
-    ], ids=["shape", "dtype"])
-    def test_a_changed_layout_takes_fresh_copies(self, changed):
-        memo = Memo()
-        memo.get(np.arange(6.0).reshape(2, 3), lambda: "first")
-        kept = memo._key
-        assert memo.get(changed, lambda: "second") == "second"
-        assert memo._key is not kept
-        assert (memo._key.shape, memo._key.dtype) == (changed.shape, changed.dtype)
-        assert memo.get(changed, lambda: "third") == "second"
-
-    def test_equal_values_in_another_dtype_miss(self):
-        memo = Memo()
-        memo.get(np.arange(4), lambda: "int")
-        assert memo.get(np.arange(4.0), lambda: "float") == "float"
-        assert memo._key.dtype == np.float64
-
-    def test_the_keys_stay_private_copies(self):
-        memo, a = Memo(), np.zeros(5)
-        memo.get(a, lambda: "first")
-        a += 1.0
-        assert memo.get(a, lambda: "second") == "second"  # copied in place
-        a[2] = -1.0  # the caller's later in-place write is still seen
-        assert memo.get(a, lambda: "third") == "third"
-        assert not np.shares_memory(memo._key, a)
-
-    def test_a_wide_same_shape_miss_allocates_no_copy(self):
-        memo, w = Memo(), seeded_rng(0).standard_normal((512, 512))
-        memo.get(w, lambda: "first")
-        w *= 0.5
-        tracemalloc.start()
-        try:
-            assert memo.get(w, lambda: "second") == "second"
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * w.nbytes  # a fresh copy of the key is 2 MB
 
 
 class TestSpecs:
@@ -249,6 +182,9 @@ class TestQuantizedMLP:
 
     @pytest.mark.parametrize("cfg", [QuantConfig(3), None])
     def test_weight_cache_follows_in_place_writes(self, cfg, tmp_path):
+        """Q keeps its quantized weights until `weights_moved`: after a
+        write and that call, and after the game's min step, which makes
+        it, Q computes what a copy that never ran a forward computes."""
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, cfg)
         x = Tensor(sx)
@@ -269,17 +205,20 @@ class TestQuantizedMLP:
 
         snap = [t.data.copy() for t in q.parameters()]
         assert_matches_uncached(q)
-        # a cache hit passes the same straight-through gradient as a miss
+        # a kept weight passes the same straight-through gradient as a fresh one
         for a, b in zip(grads(), grads()):
             np.testing.assert_array_equal(a, b)
 
         SgdNesterovState(q.parameters(), lr=0.1).step()
+        q.weights_moved()
         assert_matches_uncached(q)
 
         w = q.blocks[0][0].weight
         w.data[0, 0] += 1e-3
+        q.weights_moved()
         assert_matches_uncached(q)
         w.data.flat[w.data.argmax()] += 1e-3  # moves the quantization range
+        q.weights_moved()
         assert_matches_uncached(q)
 
         other = init_q_from_p(p, cfg)
@@ -290,10 +229,18 @@ class TestQuantizedMLP:
         assert_matches_uncached(loaded)
         for (_, dst), (_, src) in zip(q.named_arrays(), loaded.named_arrays()):
             dst[...] = src  # the in-place write load_checkpoint makes
+        q.weights_moved()
         assert_matches_uncached(q)
 
         for t, s in zip(q.parameters(), snap):
             t.data = s  # a new array, as a restore may write
+        q.weights_moved()
+        assert_matches_uncached(q)
+
+        hp = game.HyperParams(lr_q=0.1)
+        state = game.init_game(p, q, Generator(SMALL_GEN, seeded_rng(5)), hp,
+                               seeded_rng(6))
+        game.minimization_step(state, *game.draw_batch(seeded_rng(7), 16, 5, 4))
         assert_matches_uncached(q)
 
     def test_weights_are_copies_not_views(self):

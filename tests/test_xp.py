@@ -164,18 +164,28 @@ class TestConfigFiles:
         assert parse_config(config_to_text(cfg)) == cfg
 
     def test_every_setting_is_a_key(self):
-        """config.ini holds every setting, so replaying it replays the run;
-        only the fields that follow from others are exempt."""
-        derived = {("generator", "output_dim"),   # follows the network
-                   ("generator", "class_count")}
-        cfg = default_config()
-        for _, attr, keys in xp._SECTIONS:
-            owner = getattr(cfg, attr) if attr else cfg
-            fields = {f.name for f in dataclasses.fields(owner)
-                      if not dataclasses.is_dataclass(getattr(owner, f.name))}
-            missing = {name for name in fields - set(keys)
-                       if (attr, name) not in derived}
-            assert not missing, (attr, missing)
+        """config.ini holds every setting, so replaying it replays the run:
+        a config that differs from the default in every field comes back
+        whole (the generator's dimensions follow the dataset's)."""
+        cfg = ExperimentConfig(
+            seed=7, bits=4, out_dir="elsewhere", eval_period=3,
+            pretrain_epochs=5, pretrain_lr=2e-3, pretrain_batch=8,
+            dataset=DatasetSpec(class_count=4, input_dim=6, samples_per_class=30,
+                                cluster_scale=0.5, pair_offset=0.2, spread=0.05),
+            network=nets.NetworkSpec(input_dim=6, hidden=(8,), class_count=4),
+            generator=nets.GeneratorSpec(noise_dim=5, hidden=(7, 9),
+                                         output_dim=6, class_count=4),
+            hp=game.HyperParams(
+                alpha=0.2, beta=0.5, gamma=0.3, lambda_l=0.2, lambda_u=0.9,
+                tau=2.0, lr_g=2e-3, lr_q=3e-4, batch_size=8, epochs=3,
+                iters_per_epoch=4, lr_decay_factor=0.5, lr_decay_period=2,
+                bns_stat="std", disable=("L_b",)))
+        for owner in (cfg, cfg.dataset, cfg.network, cfg.generator, cfg.hp):
+            default = type(owner)()
+            same = [f.name for f in dataclasses.fields(owner)
+                    if getattr(owner, f.name) == getattr(default, f.name)]
+            assert not same, (type(owner).__name__, same)
+        assert parse_config(config_to_text(cfg)) == cfg
 
     @pytest.mark.parametrize("name", ["seed", "eval_period", "pretrain_epochs",
                                       "pretrain_batch"])
