@@ -18,27 +18,27 @@ replace: the forward runs those ops in their order, and the backward
 computes what the primitives' sweep would send along each path.
 
 `_node` hands a fresh first gradient to its parent instead of copying
-it. An optimizer packs its parameters into one flat buffer that each
-`.data` views, with its state in the same layout. A step runs the
-per-parameter in-place update, in its order, over blocks of at most BLOCK
-elements through three scratch rows: the same bits, and no player-sized
-temporary. It packs again if a rebinding or a deepcopy broke a view.
+it. The sweep sorts the graph depth-first with a marker on the stack in
+place of per-node flag tuples, and drops each interior gradient as soon as
+its node has run. An optimizer packs its parameters into one flat buffer
+that each `.data` views, with its state in the same layout. A step runs
+the per-parameter in-place update, in its order, over blocks of at most
+BLOCK elements through three scratch rows: the same bits, and no
+player-sized temporary. A block inside one gradient reads a view of it;
+only a block that spans several is gathered. It packs again if a
+rebinding or a deepcopy broke a view.
 """
 
 from __future__ import annotations
 
 import contextlib
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
 
 class ShapeMismatchError(ValueError):
     """Operand shapes do not conform for the requested operation."""
-
-
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -62,7 +62,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -73,10 +73,12 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
         return out
 
     @staticmethod
@@ -89,7 +91,9 @@ class Tensor:
         def backward(out):
             for p, grad in zip(parents, grads):
                 if p.requires_grad:
-                    g = _unbroadcast(grad(out.grad), p.shape)
+                    g = grad(out.grad)
+                    if g.shape != p.data.shape:
+                        g = _unbroadcast(g, p.data.shape)
                     if p.grad is None and g.base is None and g is not out.grad:
                         g += 0.0  # in place, the bits of _accumulate's copy
                         p.grad = g
@@ -250,30 +254,29 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
 
+        # depth-first post-order; None on the stack marks that the node
+        # below it has had its parents pushed
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        stack: list[Tensor | None] = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
+            node = stack.pop()
+            if node is None:
+                topo.append(stack.pop())
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            seen.add(node)
+            stack += (node, None)
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+                if p.requires_grad and p not in seen:
+                    stack.append(p)
 
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node)
-        # interior grads are scratch space; keep only leaves
-        for node in topo:
-            if node._backward is not None:
-                node.grad = None
+                node.grad = None  # every consumer has run; interior grads are scratch
         self.grad = None
 
 
@@ -347,6 +350,8 @@ class BatchNorm:
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         """mode: 'train' (batch stats, update running), 'batch' (batch
         stats, no update), 'eval' (running stats). One tape node."""
+        if x.data.ndim != 2:  # the backward sums over axis 0
+            raise ShapeMismatchError(f"batch_norm: expects (batch, width), got {x.shape}")
         if x.shape[-1] != self.width:
             raise ShapeMismatchError(
                 f"batch_norm: feature dim {x.shape[-1]} != layer width {self.width}"
@@ -372,36 +377,37 @@ class BatchNorm:
         if np.any(std == 0.0):
             raise ZeroDivisionError("div: divisor tensor contains zero")
         xhat = Tensor._broadcast(np.divide, d, std)
-        scaled = Tensor._broadcast(np.multiply, xhat, gamma.data)
+        y = Tensor._broadcast(np.multiply, xhat, gamma.data)
+        y += beta.data
 
         # by hand: x-hat and the batch statistics send several paths into x
         def backward(out):
             g = out.grad
             if beta.requires_grad:
-                beta._accumulate(_unbroadcast(g, beta.shape))
+                beta._accumulate(g.sum(axis=0))
             if gamma.requires_grad:
-                gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+                gamma._accumulate((g * xhat).sum(axis=0))
             if not x.requires_grad:
                 return
             g_xhat = g * gamma.data
             g_d = g_xhat / std
-            x._accumulate(_unbroadcast(g_d, x.shape))
+            x._accumulate(g_d)
             if mode == "eval":
                 return
             # The paths through the batch statistics reach x and the mean in
             # the sweep's order: x - mu of x-hat (above), the variance's two
-            # x - mu, then (x only) the mean's sum.
-            g_var = _unbroadcast(-g_xhat * d / (std * std), std.shape) * 0.5 / std
+            # x - mu, then (x only) the mean's sum. Each sum negates first,
+            # as the sweep does: -(sum) differs from sum(-) in a NaN's sign.
+            g_var = (-g_xhat * d / (std * std)).sum(axis=0) * 0.5 / std
             g_sq = g_var * inv_n * d
-            g_mu = _unbroadcast(-g_d, mu.shape)
-            g_mu_sq = _unbroadcast(-g_sq, mu.shape)
+            g_mu = (-g_d).sum(axis=0)
+            g_mu_sq = (-g_sq).sum(axis=0)
             for _ in range(2):
                 x._accumulate(g_sq)
                 g_mu += g_mu_sq
-            x._accumulate(np.broadcast_to(g_mu * inv_n, x.shape))
+            x._accumulate(g_mu * inv_n)  # += broadcasts over the batch
 
-        return Tensor._result(Tensor._broadcast(np.add, scaled, beta.data),
-                              (x, gamma, beta), backward)
+        return Tensor._result(y, (x, gamma, beta), backward)
 
 
 # -- optimizers -----------------------------------------------------------------
@@ -434,28 +440,44 @@ class _Packed:
     def _blocks(self, op: str, missing_is_zero: bool = False):
         """Spend the gradients; per block of the parameters that have one (or
         all, reading a missing one as zeros), yield its slice of the buffer,
-        its gradient gathered into a scratch row, and the two other rows."""
+        its gradient (a view if it lies inside one, else gathered into a
+        scratch row) and the two other rows."""
+        grads = []
         for t in self.params:
-            if t.grad is not None and t.grad.shape != t.shape:
+            g = t.grad
+            if g is None and missing_is_zero:
+                g = np.broadcast_to(0.0, t.data.shape)
+            elif g is not None and g.shape != t.data.shape:
                 raise ShapeMismatchError(
-                    f"{op}: grad shape {t.grad.shape} != param shape {t.shape}")
-        grads = [np.broadcast_to(0.0, t.shape) if t.grad is None and missing_is_zero
-                 else t.grad for t in self.params]
+                    f"{op}: grad shape {g.shape} != param shape {t.shape}")
+            grads.append(g)
         for t in self.params:
             t.grad = None  # spent; no gradient outlives its step
         if any(t.data.base is not self._buf for t in self.params):
             self._pack()  # a rebinding or a deepcopy broke a view
-        lo = 0  # where the run of parameters starts in the buffer
-        for skip, run in groupby(zip(self.params, grads), lambda tg: tg[1] is None):
-            flats = [(t.data if skip else g).reshape(-1) for t, g in run]
-            starts = list(accumulate((f.size for f in flats), initial=0))
-            for b in range(0, 0 if skip else starts[-1], BLOCK):
-                e = min(b + BLOCK, starts[-1])
-                g, a, c = self._tmp[:, :e - b]
-                np.concatenate([f[max(b - s, 0):e - s] for f, s in zip(flats, starts)
-                                if s < e and s + f.size > b], out=g)
-                yield slice(lo + b, lo + e), g, a, c
-            lo += starts[-1]
+        tmp = self._tmp
+
+        def block():
+            g = parts[0] if len(parts) == 1 else np.concatenate(parts, out=tmp[0, :n])
+            return slice(lo, lo + n), g, tmp[1, :n], tmp[2, :n]
+
+        lo, n, parts = 0, 0, []  # the block being filled: start, size, pieces
+        for t, g in zip(self.params, grads):
+            if g is None:  # a missing gradient ends the block
+                if parts:
+                    yield block()
+                lo, n, parts = lo + n + t.data.size, 0, []
+                continue
+            f = g.reshape(-1)
+            while f.size:
+                parts.append(f[:BLOCK - n])
+                f = f[BLOCK - n:]
+                n += parts[-1].size
+                if n == BLOCK:
+                    yield block()
+                    lo, n, parts = lo + n, 0, []
+        if parts:
+            yield block()
 
 
 class AdamState(_Packed):

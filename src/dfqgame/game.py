@@ -11,7 +11,6 @@ evaluates them while the loop steps (`ProbeWorker`).
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -531,22 +530,3 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
 def ablation_config(hp: HyperParams, disable) -> HyperParams:
     """`hp` with the named generator-loss terms left out as well."""
     return replace(hp, disable=hp.disable + tuple(disable))
-
-
-def bg_halving_trial(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
-                     rng, iterations: int = 50):
-    """First-order scaling probe: at each iteration, take the normal step
-    and, from the same state and batches, a step with both learning rates
-    halved; record both balance gaps. Training continues from the full-step
-    state, so each pair is a controlled comparison."""
-    state = init_game(p, q, g, hp, rng)
-    pairs = []
-    for _ in range(iterations):
-        batches = [draw_batch(rng, hp.batch_size, g.spec.noise_dim,
-                              g.spec.class_count) for _ in range(2)]
-        half = copy.deepcopy(state)  # the detour writes only into its copy
-        half.opt_g.lr /= 2
-        half.opt_q.lr /= 2
-        bg_half = play_iteration(half, *batches).bg
-        pairs.append((play_iteration(state, *batches).bg, bg_half))
-    return pairs

@@ -320,6 +320,7 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
         raise ValueError("labels out of range")
     opt = AdamState(p.parameters(), lr=lr)
     n = len(train_x)
+    train_onehot = one_hot(train_y, p.spec.class_count).data  # rows indexed per step
     order_rng = rng if rng is not None else np.random.Generator(np.random.PCG64(0))
     for _ in range(epochs):
         perm = order_rng.permutation(n)
@@ -328,7 +329,7 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
             if len(idx) < 2:
                 continue  # BN train mode needs >= 2 samples
             xb = Tensor(train_x[idx])
-            yb = one_hot(train_y[idx], p.spec.class_count)
+            yb = Tensor(train_onehot[idx])
             logits = p.forward(xb, mode="train")
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss.item()):
@@ -348,14 +349,6 @@ def init_q_from_p(p: MLP, cfg: QuantConfig | None) -> QuantizedMLP:
     for (_, dst), (_, src) in zip(q.named_arrays(), p.named_arrays()):
         dst[...] = src
     return q
-
-
-def collect_generated_bns(p: MLP, x: Tensor) -> BNStatsRecord:
-    """Batch stats of each BN layer's input under P's forward on x,
-    paired with P's stored running stats."""
-    if x.shape[0] < 2:
-        raise ValueError("collect_generated_bns: batch size must be >= 2")
-    return p.forward(x, mode="eval", collect_bns=True)[1]
 
 
 # -- checkpoint container -----------------------------------------------------

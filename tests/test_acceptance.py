@@ -28,7 +28,6 @@ from dfqgame.adapt import (
 from dfqgame.engine import Tensor, seeded_rng
 from dfqgame.game import (
     HyperParams,
-    bg_halving_trial,
     generator_loss,
     loss_as,
     loss_bound,
@@ -42,11 +41,11 @@ from dfqgame.nets import (
     GeneratorSpec,
     MLP,
     NetworkSpec,
-    collect_generated_bns,
     init_q_from_p,
     one_hot,
 )
 from dfqgame.quant import QuantConfig, dequantize, quantize
+from helpers import bg_halving_trial, collect_generated_bns
 
 
 def verdict(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -230,6 +230,41 @@ class TestBackwardMechanics:
         assert mid.grad is None
         assert t.grad is not None
 
+    def test_the_sweep_runs_the_nodes_in_depth_first_post_order(self):
+        """A leaf with a prior gradient, reached by paths of mixed magnitude
+        that are built in another order than the sort runs them: its sum,
+        and so its bits, show the order of the sweep."""
+        def leaf_gradient(backward):
+            x = Tensor([1.0, 3.0, -2.0, 0.5], requires_grad=True)
+            x.grad = np.array([0.0, -1e16, 1.0, 3e-17])
+            big, one, neg, small = x * 1e16, x * 3.0, x * -1e16, x * 1e-3
+            shared = one + big
+            loss = ((neg + shared) * 2.0 + (small + shared) * -1.0 + (big + small)
+                    + small).sum()
+            backward(loss)
+            return x.grad.tobytes()
+
+        assert leaf_gradient(Tensor.backward) == leaf_gradient(reference_sweep)
+
+
+def reference_sweep(loss):
+    """Tensor.backward written as the `(node, expanded)` depth-first loop:
+    the reference for the order in which a sweep runs the nodes."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(p, False) for p in node._parents
+                      if p.requires_grad and id(p) not in seen]
+    loss._accumulate(np.ones_like(loss.data))
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node)
+
 
 class TestGradientHandOver:
     """A parent takes over a fresh first gradient instead of copying it,
@@ -471,6 +506,12 @@ class TestBatchNorm:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             BatchNorm(2)(Tensor(np.zeros((2, 2))), mode="test")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_input_must_be_a_batch_of_rows(self, shape, mode):
+        with pytest.raises(ShapeMismatchError, match=r"expects \(batch, width\)"):
+            BatchNorm(3)(Tensor(np.ones(shape)), mode=mode)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -91,6 +91,11 @@ def run(build, leaves):
 SEED = st.integers(0, 2**32 - 1)
 FLAG = st.booleans()
 SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+# NumPy sums 8 or more contiguous elements pairwise, in another order than
+# it sums fewer, so a reordered reduction can pass at the small sizes: each
+# property also draws the game's (16, 64) and pretraining's (32, 64) batches
+# and their (16, 10) and (32, 10) logits.
+REAL = [(16, 64), (32, 64), (16, 10), (32, 10)]
 
 
 def matrix(draw, rows, cols, saturate=False):
@@ -129,8 +134,9 @@ def leaf(draw, data):
 @given(data=st.data())
 def test_batch_norm_node_matches_the_reference_tape(data):
     draw = data.draw
-    batch = draw(st.integers(1, 6))  # 1 is rejected outside eval mode
-    width = draw(st.integers(1, 5))
+    # batch 1 is rejected outside eval mode
+    batch, width = draw(st.tuples(st.integers(1, 6), st.integers(1, 5))
+                        | st.sampled_from(REAL))
     x_width = width + draw(st.sampled_from([0] * 9 + [1]))  # 1: a width mismatch
     mode = draw(st.sampled_from(["train", "batch", "eval", "test"]))
     x = leaf(draw, matrix(draw, batch, x_width))
@@ -160,8 +166,8 @@ def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
     """The chain of the generator loss: one softmax output feeds a label
     cross-entropy, then the entropy, normalized as in the game value."""
     draw = data.draw
-    batch = draw(st.integers(2, 6))
-    classes = draw(st.integers(1, 5))
+    batch, classes = draw(st.tuples(st.integers(2, 6), st.integers(1, 5))
+                          | st.sampled_from(REAL))
     z = leaf(draw, matrix(draw, batch, classes, saturate=True))
     tau = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3, 0.0, -1.0]))
     y = np.eye(classes)[np.random.default_rng(draw(SEED)).integers(classes, size=batch)]

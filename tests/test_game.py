@@ -22,7 +22,6 @@ from dfqgame.game import (
     HyperParams,
     LOSS_NAMES,
     ablation_config,
-    bg_halving_trial,
     draw_batch,
     generator_loss,
     init_game,
@@ -46,6 +45,7 @@ from dfqgame.nets import (
     pretrain_p,
 )
 from dfqgame.quant import QuantConfig, fake_quantize_array
+from helpers import bg_halving_trial
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
 SMALL_GEN = GeneratorSpec(noise_dim=5, hidden=(8, 8), output_dim=6, class_count=4)

@@ -22,7 +22,6 @@ from dfqgame.nets import (
     NetworkSpec,
     QuantizedMLP,
     accuracy,
-    collect_generated_bns,
     cross_entropy,
     init_q_from_p,
     load_checkpoint,
@@ -31,6 +30,7 @@ from dfqgame.nets import (
     save_checkpoint,
 )
 from dfqgame.quant import QuantConfig
+from helpers import collect_generated_bns
 
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
