@@ -3,5 +3,3 @@ generator and a quantized network, with entropy-based sample-adaptability
 measurement and balance-gap diagnostics."""
 
 __version__ = "0.1.0"
-
-from . import adapt, engine, game, nets, quant, xp  # noqa: F401

@@ -12,11 +12,19 @@ import os
 import sys
 from dataclasses import replace
 
-from . import nets, xp
-from .game import LOSS_NAMES, ablation_config
-from .nets import NumericalError
-from .quant import QuantConfig
-from .xp import ConfigError
+# One BLAS thread unless the user chose otherwise: at the default shapes a
+# second thread costs more than it gives, and a process on one thread may
+# fork the probe worker (game._worker_fits). The pool is sized when NumPy
+# loads, so a process that loaded it first keeps its own.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
+from . import nets, xp  # noqa: E402
+from .game import LOSS_NAMES, ablation_config  # noqa: E402
+from .nets import NumericalError  # noqa: E402
+from .quant import QuantConfig  # noqa: E402
+from .xp import ConfigError  # noqa: E402
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3

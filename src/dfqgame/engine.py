@@ -8,14 +8,21 @@ Gradients are routed by two rules. A node with one path into each input
 is built by `Tensor._node`, whose backward is the only generic one: each
 parent that requires a gradient, in parent order, receives its gradient
 sum-reduced to its own shape. A node with several paths into one input
-(batch norm here, entropy in adapt) calls `_accumulate` once per path, in
-the order a sweep over the primitive ops would: float addition does not
-associate, so summing the paths first changes the bits.
+(batch norm here, entropy in adapt, the batch variance in nets, the hinge
+bound and a layer's BN-statistics term in game) calls `_accumulate` once
+per path, in the order a sweep over the primitive ops would: float
+addition does not associate, so summing the paths first changes the bits.
 
-Batch norm, softmax, and (in nets and adapt) label cross-entropy and
-entropy are each one tape node with the bits of the primitive ops they
-replace: the forward runs those ops in their order, and the backward
-computes what the primitives' sweep would send along each path.
+Batch norm, softmax, the mean, and elsewhere label cross-entropy and the
+batch variance (nets), entropy (adapt), and the generator loss's hinge
+bound, BN-statistics terms and weighted sum (game) are each one tape node
+with the bits of the primitive ops they replace: the forward runs those
+ops in their order, with NumPy ufuncs where two NaNs may meet (a scalar's
+own + may swap its operands, and of two NaNs the first one's sign
+survives), and the backward computes what the primitives' sweep would
+send along each path. Only a zero's sign may differ in between: the first
+deposit into a gradient adds 0.0, so no stored gradient holds -0.0, and
+adding -0.0 to one changes nothing.
 
 `_node` hands a fresh first gradient to its parent instead of copying
 it. The sweep sorts the graph depth-first with a marker on the stack in
@@ -239,8 +246,16 @@ class Tensor:
         return self._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        """sum(...) * (1 / n) as one tape node."""
+        inv_n = 1.0 / (self.size if axis is None else self.shape[axis])
+
+        def grad(g):
+            g = g * inv_n
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.shape)
+
+        return self._node(self.data.sum(axis=axis, keepdims=keepdims) * inv_n, (self,), grad)
 
     # -- backward ------------------------------------------------------------
 

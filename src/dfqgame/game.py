@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import AdamState, SgdNesterovState, Tensor, frozen, gaussian
+from .engine import AdamState, SgdNesterovState, Tensor, _unbroadcast, frozen, gaussian
 from .adapt import (
     BalanceGapRecord,
     LogitsPair,
@@ -150,10 +150,48 @@ def _logits_pair(z_p: Tensor, z_q: Tensor) -> LogitsPair:
 
 def loss_bound(h_norm: Tensor, lambda_l: float, lambda_u: float) -> Tensor:
     """Two-sided hinge keeping the normalized entropy inside
-    [lambda_l, lambda_u]."""
-    low = (lambda_l - h_norm).relu()
-    high = (h_norm - lambda_u).relu()
-    return (low + high).mean()
+    [lambda_l, lambda_u]: the mean of relu(lambda_l - h) + relu(h - lambda_u).
+    One tape node."""
+    low, high = lambda_l - h_norm.data, h_norm.data - lambda_u
+    on_low, on_high = low > 0.0, high > 0.0
+    hinge = np.where(on_low, low, 0.0) + np.where(on_high, high, 0.0)
+    inv_n = 1.0 / hinge.size
+
+    # by hand: the two hinges send two paths into h_norm
+    def backward(out):
+        if h_norm.requires_grad:
+            g = out.grad * inv_n
+            h_norm._accumulate(-(g * on_low))  # the sweep's order: low, then high
+            h_norm._accumulate(g * on_high)
+
+    return Tensor._result(hinge.sum() * inv_n, (h_norm,), backward)
+
+
+def bns_term(mu_g: Tensor, var_g: Tensor, mu_s, var_s, stat: str = "variance") -> Tensor:
+    """One BN layer's term of loss_bns: the squared-l2 mismatch of the means
+    plus that of the spreads, the variances (`stat` "variance") or their
+    square roots ("std"). One tape node on (mu_g, var_g)."""
+    d_mu = Tensor._broadcast(np.subtract, mu_g.data, mu_s)
+    sig_g = var_g.data
+    std = stat != "variance"
+    if std:
+        if np.any(sig_g < 0.0):
+            raise ValueError("sqrt: input must be non-negative")
+        sig_g, var_s = np.sqrt(sig_g), np.sqrt(var_s)
+    d_sig = Tensor._broadcast(np.subtract, sig_g, var_s)
+
+    # by hand: each square sends two paths into its difference
+    def backward(out):
+        for t, d, root in ((mu_g, d_mu, None), (var_g, d_sig, sig_g if std else None)):
+            if t.requires_grad:  # in the sweep's order: the means, then the spreads
+                gd = out.grad * d
+                gd = _unbroadcast(gd + gd, t.shape)
+                if root is not None:  # through the square root
+                    gd = gd * 0.5 / root
+                t._accumulate(gd)
+
+    return Tensor._result(np.add((d_mu * d_mu).sum(), (d_sig * d_sig).sum()),
+                          (mu_g, var_g), backward)  # np.add: see weighted_loss
 
 
 def loss_bns(record: BNStatsRecord, stat: str = "variance") -> Tensor:
@@ -165,14 +203,26 @@ def loss_bns(record: BNStatsRecord, stat: str = "variance") -> Tensor:
                                         record.var_generated,
                                         record.mean_stored,
                                         record.var_stored):
-        d_mu = mu_g - Tensor(mu_s)
-        if stat == "variance":
-            d_sig = var_g - Tensor(var_s)
-        else:
-            d_sig = var_g.sqrt() - Tensor(np.sqrt(var_s))
-        term = (d_mu * d_mu).sum() + (d_sig * d_sig).sum()
+        term = bns_term(mu_g, var_g, mu_s, var_s, stat)
         total = term if total is None else total + term
     return total
+
+
+def weighted_loss(l_ds: Tensor, l_as: Tensor, l_b: Tensor, l_bns: Tensor,
+                  hp: HyperParams) -> Tensor:
+    """alpha * (L_ds + L_as) + beta * L_b + gamma * L_BNS, each term that
+    `hp.disable` names times 0.0. One tape node."""
+    # x * 1.0 and 0.0 + x are exact, so a disabled term only zeroes its own
+    # contribution and leaves the others' bits as they are
+    on_ds, on_as, on_b, on_bns = (0.0 if t in hp.disable else 1.0 for t in LOSS_NAMES)
+    w_b, w_bns = hp.beta * on_b, hp.gamma * on_bns
+    # np.add as the nodes called it: a NumPy scalar's + may take its operands
+    # in the other order, and of two NaNs the first one's sign survives
+    l_g = np.add(np.add(np.add(l_ds.data * on_ds, l_as.data * on_as) * hp.alpha,
+                        l_b.data * w_b), l_bns.data * w_bns)
+    return Tensor._node(l_g, (l_ds, l_as, l_b, l_bns),
+                        lambda g: g * hp.alpha * on_ds, lambda g: g * hp.alpha * on_as,
+                        lambda g: g * w_b, lambda g: g * w_bns)
 
 
 def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
@@ -195,11 +245,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     l_b = loss_bound(h_norm, hp.lambda_l, hp.lambda_u)
     l_bns = loss_bns(record, hp.bns_stat)
 
-    # x * 1.0 and 0.0 + x are exact, so a disabled term only zeroes its own
-    # contribution and leaves the others' bits as they are
-    on = {t: 0.0 if t in hp.disable else 1.0 for t in LOSS_NAMES}
-    l_g = (hp.alpha * (on["L_ds"] * l_ds + on["L_as"] * l_as)
-           + hp.beta * on["L_b"] * l_b + hp.gamma * on["L_BNS"] * l_bns)
+    l_g = weighted_loss(l_ds, l_as, l_b, l_bns, hp)
 
     components = {
         "l_ds": l_ds.item(), "l_as": l_as.item(),
@@ -216,10 +262,12 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
 
 def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
                      probe_z: Tensor, probe_y: Tensor,
-                     cache: ProbeCache | None = None) -> float:
+                     tau: float = 1.0, cache: ProbeCache | None = None) -> float:
     """R on the fixed probe batch as a pure function of (theta_g, theta_q):
-    G uses batch statistics without touching its running buffers, P and Q
-    run in eval mode. Nothing is differentiated, so no graph is built.
+    the game value at temperature `tau`, which a game sets to its `hp.tau`
+    so that R is the value Q's step descends. G uses batch statistics
+    without touching its running buffers, P and Q run in eval mode.
+    Nothing is differentiated, so no graph is built.
 
     With the game's `cache`, a probe runs only the forwards that its place
     in the iteration says have moved (see ProbeCache); without one every
@@ -237,7 +285,7 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
                 x = g.forward(probe_z, probe_y, mode="batch")
                 cache.xz = x, p.forward(x, mode="eval")
             x, z_p = cache.xz
-            cache.r = game_value(_logits_pair(z_p, q.forward(x, mode="eval"))).item()
+            cache.r = game_value(_logits_pair(z_p, q.forward(x, mode="eval")), tau).item()
     cache.count += 1
     return cache.r
 
@@ -299,7 +347,7 @@ def play_iteration(state: GameState, max_batch, min_batch,
     """One maximization step on `max_batch`, then one minimization step on
     `min_batch`, with the game value probed before, between and after.
     `cache` replaces `state.probe_cache` in the probe calls."""
-    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y,
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, state.hp.tau,
              state.probe_cache if cache is None else cache)
     r_before = probe_game_value(*probe)
     components = maximization_step(state, *max_batch)
@@ -439,7 +487,8 @@ def _serve_probes(state: GameState, conn) -> None:
         opt._pack()  # the worker's players view its private copies
         copies.append((opt._buf, shared))
     cache = ProbeCache()
-    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, cache)
+    probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, state.hp.tau,
+             cache)
     values, failed = [], False
     try:
         conn.send(None)  # the loop may step G

@@ -161,9 +161,27 @@ class _BlockStack:
             if taps is not None:
                 mu = h.mean(axis=0)
                 taps[0].append(mu)
-                taps[1].append(((h - mu) * (h - mu)).mean(axis=0))
+                taps[1].append(batch_variance(h, mu))
             h = bn(h, mode).relu()
         return h
+
+
+def batch_variance(h: Tensor, mu: Tensor) -> Tensor:
+    """((h - mu) * (h - mu)).mean(axis=0), with mu the batch mean of h. One
+    tape node on (h, mu)."""
+    d = Tensor._broadcast(np.subtract, h.data, mu.data)
+    inv_n = 1.0 / d.shape[0]
+
+    # by hand: each factor h - mu sends a path into h and one into mu
+    def backward(out):
+        g = out.grad * inv_n * d  # what each factor h - mu receives
+        for _ in range(2):  # the sweep's order: the first factor, then the second
+            if h.requires_grad:
+                h._accumulate(_unbroadcast(g, h.shape))
+            if mu.requires_grad:
+                mu._accumulate(_unbroadcast(-g, mu.shape))
+
+    return Tensor._result((d * d).sum(axis=0) * inv_n, (h, mu), backward)
 
 
 class MLP(_BlockStack):
@@ -294,8 +312,10 @@ def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
     inv_n = 1.0 / rows.size
 
     def grad(g):
-        g = np.broadcast_to(-g * inv_n, prod.shape)
-        return _unbroadcast(g * y.data, c.shape) / c * mask
+        g = -g * inv_n
+        if prod.shape != c.shape:  # the labels broadcast p up: sum back down
+            return _unbroadcast(np.broadcast_to(g, prod.shape) * y.data, c.shape) / c * mask
+        return g * y.data / c * mask
 
     return Tensor._node(-(rows.sum() * inv_n), (p,), grad)
 

@@ -1,4 +1,5 @@
-"""Batch norm, softmax, label cross-entropy and entropy are one tape node
+"""Batch norm, softmax, label cross-entropy, entropy, the mean, the batch
+variance and the generator loss's terms and weighted sum are one tape node
 each. These tests rebuild each op from the engine's primitive ops (the
 reference tape) and require the fused node to give the same output and the
 same gradients byte for byte, or to raise the same exception."""
@@ -9,14 +10,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfqgame import adapt, engine, game, nets
+from dfqgame import adapt, engine, game, nets, xp
 from dfqgame.adapt import normalize_entropy
 from dfqgame.engine import BatchNorm, Tensor, seeded_rng
-from dfqgame.game import HyperParams, draw_batch, generator_loss
+from dfqgame.game import (HyperParams, draw_batch, generator_loss, init_game,
+                          maximization_step, minimization_step)
 from dfqgame.nets import Generator, GeneratorSpec, NetworkSpec, init_q_from_p
 from dfqgame.quant import QuantConfig
 
-# -- the reference tape: the four ops composed from primitive nodes -------------
+# -- the reference tape: the fused ops composed from primitive nodes -------------
+
+
+def ref_mean(t, axis=None, keepdims=False):
+    n = t.size if axis is None else t.shape[axis]
+    return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def ref_batch_variance(h, mu):
+    return ref_mean((h - mu) * (h - mu), axis=0)
+
+
+def ref_loss_bound(h_norm, lambda_l, lambda_u):
+    low = (lambda_l - h_norm).relu()
+    high = (h_norm - lambda_u).relu()
+    return ref_mean(low + high)
+
+
+def ref_bns_term(mu_g, var_g, mu_s, var_s, stat="variance"):
+    d_mu = mu_g - Tensor(mu_s)
+    if stat == "variance":
+        d_sig = var_g - Tensor(var_s)
+    else:
+        d_sig = var_g.sqrt() - Tensor(np.sqrt(var_s))
+    return (d_mu * d_mu).sum() + (d_sig * d_sig).sum()
+
+
+def ref_weighted_loss(l_ds, l_as, l_b, l_bns, hp):
+    on = {t: 0.0 if t in hp.disable else 1.0 for t in game.LOSS_NAMES}
+    return (hp.alpha * (on["L_ds"] * l_ds + on["L_as"] * l_as)
+            + hp.beta * on["L_b"] * l_b + hp.gamma * on["L_BNS"] * l_bns)
 
 
 def ref_softmax(z, axis=-1, temperature=1.0):
@@ -91,6 +123,7 @@ def run(build, leaves):
 SEED = st.integers(0, 2**32 - 1)
 FLAG = st.booleans()
 SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+SIGNED_NAN = st.sampled_from([math.nan, -math.nan])
 # NumPy sums 8 or more contiguous elements pairwise, in another order than
 # it sums fewer, so a reordered reduction can pass at the small sizes: each
 # property also draws the game's (16, 64) and pretraining's (32, 64) batches
@@ -126,6 +159,36 @@ def leaf(draw, data):
         prior = matrix(draw, *data.reshape(-1, data.shape[-1]).shape).reshape(data.shape)
     return data, flag, prior
 
+
+def array(draw, shape):
+    """matrix() in any shape, 0-d included, with NaNs of either sign: of
+    two NaN operands the first one's survives, so the order of an addition
+    shows in the bits."""
+    rows, cols = shape if len(shape) == 2 else (1, math.prod(shape))
+    a = matrix(draw, rows, cols).reshape(shape)
+    if draw(FLAG) and draw(FLAG):
+        flat = a.reshape(-1)  # a view
+        flat[np.random.default_rng(draw(SEED)).integers(a.size)] = draw(SIGNED_NAN)
+    return a
+
+
+def any_leaf(draw, data):
+    """leaf() of an array of any shape."""
+    flag = draw(FLAG)
+    return data, flag, array(draw, data.shape) if flag and draw(FLAG) else None
+
+
+def weights(draw, shape):
+    """upstream(), perhaps with an infinite weight: its gradient meets the
+    node's zeros and signs."""
+    w = upstream(draw, shape)
+    if draw(FLAG):
+        w.reshape(-1)[np.random.default_rng(draw(SEED)).integers(w.size)] = draw(SPECIAL)
+    return w
+
+
+# the weight of a scalar node's output in the loss (1e308 overflows a product)
+SCALE = st.sampled_from([1.0, -0.0, 0.0, 0.7, -2.5, 1e308, math.inf, -math.inf, math.nan])
 
 # -- properties -------------------------------------------------------------------
 
@@ -189,6 +252,135 @@ def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
     assert fused == run(build(ref_softmax, ref_label_cross_entropy, ref_info_entropy), [z])
 
 
+# The shapes that the game's losses meet, and small ones: (16, 64) taps, (64,)
+# moments, (16,) normalized entropies and 0-d terms.
+SHAPES = st.sampled_from([(16, 64), (32, 10), (64,), (16,), ()]) | st.lists(
+    st.integers(1, 5), max_size=3).map(tuple)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mean_node_matches_the_reference_tape(data):
+    draw = data.draw
+    shape = draw(SHAPES)
+    axis = draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
+    keepdims = draw(FLAG)
+    x = any_leaf(draw, array(draw, shape))
+    w = weights(draw, np.zeros(shape).sum(axis=axis, keepdims=keepdims).shape)
+    w_x = weights(draw, shape)  # a second consumer of x
+
+    def build(mean):
+        def loss(x):
+            out = mean(x, axis=axis, keepdims=keepdims)
+            return (out * Tensor(w)).sum() + (x * Tensor(w_x)).sum(), bits(out.data)
+        return loss
+
+    assert run(build(Tensor.mean), [x]) == run(build(ref_mean), [x])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batch_variance_node_matches_the_reference_tape(data):
+    draw = data.draw
+    batch, width = draw(st.tuples(st.integers(1, 6), st.integers(1, 5))
+                        | st.sampled_from(REAL))
+    tap = draw(FLAG)  # mu is h's mean tap, as in the players, or a leaf of its own
+    mu_width = width + (0 if tap else draw(st.sampled_from([0] * 9 + [1])))
+    h = leaf(draw, matrix(draw, batch, width))
+    mu = any_leaf(draw, array(draw, (mu_width,)))
+    w, w_mu = weights(draw, (width,)), weights(draw, (mu_width,))
+
+    def build(mean, variance):
+        def loss(h, mu):
+            if tap:
+                mu = mean(h, axis=0)
+            var = variance(h, mu)
+            out = (var * Tensor(w)).sum() + (mu * Tensor(w_mu)).sum()
+            return out, (bits(var.data), bits(mu.data))
+        return loss
+
+    fused = run(build(Tensor.mean, nets.batch_variance), [h, mu])
+    assert fused == run(build(ref_mean, ref_batch_variance), [h, mu])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_loss_bound_node_matches_the_reference_tape(data):
+    draw = data.draw
+    batch = draw(st.integers(1, 6) | st.sampled_from([16, 64]))
+    lambda_l, lambda_u = draw(st.sampled_from([(0.3, 0.8), (0.0, 1.0), (0.5, 0.5)]))
+    h = matrix(draw, 1, batch).reshape(batch) * 0.25 + 0.55
+    rng = np.random.default_rng(draw(SEED))
+    edge = rng.random(batch) < 0.2  # exactly on the band's edges
+    h[edge] = rng.choice([lambda_l, lambda_u], edge.sum())
+    h = any_leaf(draw, h)
+    scale, w_h = draw(SCALE), weights(draw, (batch,))
+
+    def build(bound):
+        def loss(h):
+            out = bound(h, lambda_l, lambda_u)
+            return out * scale + (h * Tensor(w_h)).sum(), bits(out.data)
+        return loss
+
+    assert run(build(game.loss_bound), [h]) == run(build(ref_loss_bound), [h])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_bns_term_node_matches_the_reference_tape(data):
+    draw = data.draw
+    batch, width = draw(st.tuples(st.integers(1, 6), st.integers(1, 5))
+                        | st.sampled_from(REAL))
+    stat = draw(st.sampled_from(["variance", "std"]))
+    tap = draw(FLAG)  # the moments are a batch's taps, as in the players, or leaves
+    h = leaf(draw, matrix(draw, batch, width))
+    mu_g = any_leaf(draw, array(draw, (width,)))
+    var_g = array(draw, (width,))
+    var_g = any_leaf(draw, np.abs(var_g) if draw(FLAG) else var_g)  # < 0: no square root
+    mismatch = draw(st.sampled_from([None] * 8 + ["mean", "var"]))
+    mu_s = array(draw, (width + (mismatch == "mean"),))
+    var_s = np.abs(array(draw, (width + (mismatch == "var"),)))
+    scale, extra = draw(SCALE), draw(FLAG)
+    w_mu, w_var = weights(draw, (width,)), weights(draw, (width,))
+
+    def build(mean, variance, term):
+        def loss(h, mu_g, var_g):
+            if tap:
+                mu_g = mean(h, axis=0)
+                var_g = variance(h, mu_g)
+            out = term(mu_g, var_g, mu_s, var_s, stat)
+            total = out * scale
+            if extra:  # other consumers of the moments
+                total = total + (mu_g * Tensor(w_mu)).sum() + (var_g * Tensor(w_var)).sum()
+            return total, bits(out.data)
+        return loss
+
+    leaves = [h, mu_g, var_g]
+    fused = run(build(Tensor.mean, nets.batch_variance, game.bns_term), leaves)
+    assert fused == run(build(ref_mean, ref_batch_variance, ref_bns_term), leaves)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_weighted_loss_node_matches_the_reference_tape(data):
+    draw = data.draw
+    weight = st.sampled_from([0.0, 0.1, 1.0, 2.5])
+    disable = st.sampled_from(xp.DEFAULT_ABLATION_ROWS) | st.lists(
+        st.sampled_from(game.LOSS_NAMES), unique=True).map(tuple)
+    hp = HyperParams(alpha=draw(weight), beta=draw(weight), gamma=draw(weight),
+                     disable=draw(disable))
+    terms = [any_leaf(draw, array(draw, ())) for _ in game.LOSS_NAMES]
+    scale = draw(SCALE)
+
+    def build(weighted):
+        def loss(*terms):
+            out = weighted(*terms, hp)
+            return out * scale, bits(out.data)
+        return loss
+
+    assert run(build(game.weighted_loss), terms) == run(build(ref_weighted_loss), terms)
+
+
 # -- the nodes inside the players' graphs ------------------------------------------------
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
@@ -204,17 +396,22 @@ def use_reference_tape(monkeypatch):
     for name in ("loss_ds", "loss_as"):
         monkeypatch.setattr(game, name, ref_label_cross_entropy)
     monkeypatch.setattr(nets, "label_cross_entropy", ref_label_cross_entropy)
+    monkeypatch.setattr(Tensor, "mean", ref_mean)
+    monkeypatch.setattr(nets, "batch_variance", ref_batch_variance)
+    monkeypatch.setattr(game, "loss_bound", ref_loss_bound)
+    monkeypatch.setattr(game, "bns_term", ref_bns_term)
+    monkeypatch.setattr(game, "weighted_loss", ref_weighted_loss)
 
 
-def player_gradients(cfg, mode):
-    """Gradients of G's loss (the max step) and of Q's (the min step), and of
-    P's cross-entropy in `mode`, all on fixed seeds."""
+def player_gradients(cfg, mode, hp=None):
+    """Gradients of G's loss (the max step, under `hp`) and of Q's (the min
+    step), and of P's cross-entropy in `mode`, all on fixed seeds."""
     p = nets.MLP(SMALL, seeded_rng(3))
     for _ in range(2):  # move the running statistics off their initial values
         p.forward(Tensor(seeded_rng(4).standard_normal((8, 6))), mode="train")
     q = init_q_from_p(p, cfg)
     g = Generator(SMALL_GEN, seeded_rng(11))
-    hp = HyperParams()
+    hp = HyperParams() if hp is None else hp
     z, y = draw_batch(seeded_rng(5), 8, 5, 4)
     for t in p.parameters():
         t.requires_grad = False
@@ -240,6 +437,19 @@ def test_players_get_the_reference_tapes_gradients(monkeypatch, cfg, mode):
     assert fused == player_gradients(cfg, mode)
 
 
+OBJECTIVES = [HyperParams(bns_stat="std"), HyperParams(alpha=0.7, beta=2.5, gamma=0.3)] + [
+    HyperParams(disable=row) for row in xp.DEFAULT_ABLATION_ROWS]
+
+
+@pytest.mark.parametrize("hp", OBJECTIVES, ids=lambda hp: (
+    f"{hp.bns_stat}-{hp.alpha}-{hp.beta}-{hp.gamma}-{'+'.join(hp.disable) or 'all'}"))
+def test_the_max_step_gets_the_reference_tapes_gradients_for_any_objective(
+        monkeypatch, hp):
+    fused = player_gradients(QuantConfig(3), "train", hp)
+    use_reference_tape(monkeypatch)
+    assert fused == player_gradients(QuantConfig(3), "train", hp)
+
+
 def test_labels_that_require_a_gradient_are_rejected():
     p = engine.softmax(Tensor(np.zeros((2, 3)), requires_grad=True))
     with pytest.raises(ValueError, match="labels must not require a gradient"):
@@ -254,3 +464,42 @@ def test_each_op_is_one_node_on_its_inputs():
     assert engine.softmax(x, temperature=2.0)._parents == (x,)
     assert adapt.info_entropy(x)._parents == (x,)
     assert nets.label_cross_entropy(x, Tensor(np.eye(3)[[0, 1, 2, 0]]))._parents == (x,)
+    mu = x.mean(axis=0)
+    assert mu._parents == x.mean()._parents == (x,)
+    var = nets.batch_variance(x, mu)
+    assert var._parents == (x, mu)
+    for stat in ("variance", "std"):
+        assert game.bns_term(mu, var, np.zeros(3), np.ones(3), stat)._parents == (mu, var)
+    h = Tensor(np.array([0.1, 0.5, 0.9]), requires_grad=True)
+    assert game.loss_bound(h, 0.3, 0.8)._parents == (h,)
+    terms = tuple(Tensor(v, requires_grad=True) for v in (1.0, 2.0, 3.0, 4.0))
+    assert game.weighted_loss(*terms, HyperParams())._parents == terms
+
+
+def test_a_game_step_builds_the_pinned_number_of_graph_nodes(monkeypatch):
+    """The graph nodes that one max step and one min step build at the
+    default shapes, counted as perfbench's tracer counts them at
+    `Tensor._result` (a result with parents; `quant.fake_quantize` builds
+    its node by hand and is not counted). A change that inflates a step's
+    graph fails here, not only in a traced benchmark run."""
+    built = []
+    result = Tensor._result
+
+    def counted(data, parents, backward):
+        out = result(data, parents, backward)
+        built.append(bool(out._parents))
+        return out
+
+    cfg = xp.default_config()
+    p = nets.MLP(cfg.network, seeded_rng(0))
+    q = init_q_from_p(p, QuantConfig(cfg.bits))
+    state = init_game(p, q, Generator(cfg.generator, seeded_rng(1)), cfg.hp, seeded_rng(2))
+    batch = draw_batch(seeded_rng(3), cfg.hp.batch_size, cfg.generator.noise_dim,
+                       cfg.generator.class_count)
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    counts = []
+    for step in (maximization_step, minimization_step):
+        built.clear()
+        step(state, *batch)
+        counts.append(sum(built))
+    assert counts == [50, 20]

@@ -700,6 +700,38 @@ class TestProbeWorker:
         assert logs_and_players(state) == logs_and_players(ref)
         assert state.opt_q.lr == ref.opt_q.lr
 
+    def test_probes_at_the_games_temperature(self, trained_setup, probe_path,
+                                             monkeypatch, tmp_path):
+        """With tau = 2, each R is game_value(..., tau=2) of the probe batch
+        (written by whichever process evaluates it), which is the value Q's
+        step descends, not the value at temperature 1."""
+        probe, seen = game.probe_game_value, tmp_path / "probes"
+
+        def compared(*args):
+            r = probe(*args)
+            g, p, q, z, y = args[:5]
+            if isinstance(args[-1], game.ProbeCache):
+                x = g.forward(z, y, mode="batch")
+                lp = LogitsPair(p.forward(x), q.forward(x))
+                with open(seen, "a") as f:
+                    f.write(f"{r.hex()} {game_value(lp, tau=2.0).item().hex()} "
+                            f"{game_value(lp).item().hex()}\n")
+            return r
+
+        monkeypatch.setattr(game, "probe_game_value", compared)
+        hp = replace(self.HP, tau=2.0)
+        state = self._run(trained_setup[0], None, hp)
+        rows = [[float.fromhex(v) for v in line.split()]
+                for line in seen.read_text().splitlines()]
+        assert len(rows) == 3 * len(state.logs) == 3 * hp.epochs * hp.iters_per_epoch
+        assert all(r == at_2 for r, at_2, _ in rows)
+        assert any(r != at_1 for r, _, at_1 in rows)
+        logged = [v for log in state.logs
+                  for v in (log.bg.r_before, log.bg.r_mid, log.bg.r_after)]
+        assert logged == [r for r, _, _ in rows]
+        for log in state.logs:
+            assert log.bg.bg == log.bg.delta_g - log.bg.delta_q
+
     # 1: the first probe; 6: the last of iteration 1; 8: the one between the
     # steps of iteration 2; 14: the one between the steps of epoch 1's first
     @pytest.mark.parametrize("k", [1, 6, 8, 14])
@@ -785,6 +817,38 @@ class TestProbeWorker:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert out.stdout == "False\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no worker where /proc lists no threads")
+    @pytest.mark.parametrize("setting, numpy_first", [
+        (None, False),  # the CLI's plan: one BLAS thread
+        ("2", False),   # the user's
+        (None, True),   # a caller that loaded NumPy first keeps its pool
+    ])
+    def test_the_cli_plans_the_blas_threads(self, setting, numpy_first):
+        """`dfqgame.cli` sets each BLAS thread variable the user left unset
+        to 1 before NumPy loads, so on two or more CPUs a run forks the
+        probe worker; a variable the user set, or a NumPy already loaded,
+        it leaves as it is."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        code = ("import os, sys\n"
+                + ("import numpy\n" if numpy_first else "")
+                + "import dfqgame.cli\nfrom dfqgame import game\n"
+                f"print([os.environ.get(v) for v in {names!r}])\n"
+                "print(len(os.listdir('/proc/self/task')), game._worker_fits())\n")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        src = os.path.dirname(os.path.dirname(game.__file__))
+        env.update(PYTHONPATH=src, **({} if setting is None else {names[0]: setting}))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env, timeout=60).stdout.splitlines()
+        if numpy_first:
+            assert out[0] == str([None, None, None])
+        else:
+            assert out[0] == str([setting or "1", "1", "1"])
+        if setting is None and not numpy_first:
+            assert out[1].split()[0] == "1"  # the process runs one thread
+            if game._usable_cpus() >= 2:
+                assert out[1].split()[1] == "True"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="no worker where /proc lists no threads")
