@@ -80,15 +80,11 @@ def info_entropy(p) -> Tensor:
     c = np.where(mask, p.data, _ENTROPY_FLOOR)
     log_c = np.log(c)
 
-    # by hand: the product and the floor send two paths into p
-    def backward(out):
-        if p.requires_grad:
-            g = np.expand_dims(-out.grad, -1)
-            # two paths, two accumulations: the product's, then the floor's
-            p._accumulate(g * log_c)
-            p._accumulate(g * p.data / c * mask)
+    def grad(g):  # two paths into p: the product's, then the floor's
+        g = np.expand_dims(-g, -1)
+        return g * log_c, g * p.data / c * mask
 
-    return Tensor._result(-(p.data * log_c).sum(axis=-1), (p,), backward)
+    return Tensor._node(-(p.data * log_c).sum(axis=-1), (p,), grad)
 
 
 def normalize_entropy(h_info: Tensor, class_count: int,

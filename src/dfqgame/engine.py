@@ -4,14 +4,16 @@ Everything is float64, row-major, CPU-only. Elementwise binary ops
 follow NumPy broadcasting, and operands that do not broadcast raise
 ShapeMismatchError.
 
-Gradients are routed by two rules. A node with one path into each input
-is built by `Tensor._node`, whose backward is the only generic one: each
-parent that requires a gradient, in parent order, receives its gradient
-sum-reduced to its own shape. A node with several paths into one input
-(batch norm here, entropy in adapt, the batch variance in nets, the hinge
-bound and a layer's BN-statistics term in game) calls `_accumulate` once
-per path, in the order a sweep over the primitive ops would: float
-addition does not associate, so summing the paths first changes the bits.
+Gradients are routed by one rule. Every node but `quant.fake_quantize`
+(see there) is built by `Tensor._node`, whose backward hands each parent
+that requires a gradient, in parent order, what its grad function returns
+for out.grad. An array is one path, sum-reduced to the parent's shape. A
+tuple is several paths into that parent (batch norm here, entropy in
+adapt, the batch variance in nets, the hinge bound in game), deposited in
+order with one `_accumulate` each, as a sweep over the primitive ops would:
+float addition does not associate, so summing the paths first changes the
+bits. A tuple's first path has the parent's shape; a later one has it or
+broadcasts into it.
 
 Batch norm, softmax, the mean, and elsewhere label cross-entropy and the
 batch variance (nets), entropy (adapt), and the generator loss's hinge
@@ -24,10 +26,11 @@ send along each path. Only a zero's sign may differ in between: the first
 deposit into a gradient adds 0.0, so no stored gradient holds -0.0, and
 adding -0.0 to one changes nothing.
 
-`_node` hands a fresh first gradient to its parent instead of copying
-it. The sweep sorts the graph depth-first with a marker on the stack in
-place of per-node flag tuples, and drops each interior gradient as soon as
-its node has run. An optimizer packs its parameters into one flat buffer
+`_node` hands a fresh single path to its parent as its first gradient
+instead of copying it; a tuple's paths are copied or added. The sweep
+sorts the graph depth-first with a marker on the stack in place of
+per-node flag tuples, and drops each interior gradient as soon as its
+node has run. An optimizer packs its parameters into one flat buffer
 that each `.data` views, with its state in the same layout. A step runs
 the per-parameter in-place update, in its order, over blocks of at most
 BLOCK elements through three scratch rows: the same bits, and no
@@ -91,14 +94,19 @@ class Tensor:
     @staticmethod
     def _node(data, parents, *grads) -> "Tensor":
         """A node whose backward sends grads[i](out.grad), sum-reduced to
-        its shape, into each parents[i] that requires a gradient, in order.
+        its shape, into each parents[i] that requires a gradient, in order;
+        a tuple of paths is deposited path by path (see the module docstring).
 
-        A grad function returns a fresh array or a view, never an array it
-        keeps, so a fresh one can become the parent's first gradient."""
+        A grad function returns fresh arrays or views, never an array it
+        keeps, so a fresh single path can become the parent's first gradient."""
         def backward(out):
             for p, grad in zip(parents, grads):
                 if p.requires_grad:
                     g = grad(out.grad)
+                    if type(g) is tuple:
+                        for path in g:
+                            p._accumulate(path)
+                        continue
                     if g.shape != p.data.shape:
                         g = _unbroadcast(g, p.data.shape)
                     if p.grad is None and g.base is None and g is not out.grad:
@@ -395,34 +403,26 @@ class BatchNorm:
         y = Tensor._broadcast(np.multiply, xhat, gamma.data)
         y += beta.data
 
-        # by hand: x-hat and the batch statistics send several paths into x
-        def backward(out):
-            g = out.grad
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=0))
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=0))
-            if not x.requires_grad:
-                return
+        def grad_x(g):
             g_xhat = g * gamma.data
             g_d = g_xhat / std
-            x._accumulate(g_d)
             if mode == "eval":
-                return
-            # The paths through the batch statistics reach x and the mean in
-            # the sweep's order: x - mu of x-hat (above), the variance's two
-            # x - mu, then (x only) the mean's sum. Each sum negates first,
-            # as the sweep does: -(sum) differs from sum(-) in a NaN's sign.
+                return g_d
+            # The batch statistics send more paths into x, in the sweep's
+            # order: x - mu of x-hat, the variance's two x - mu, then the
+            # mean's sum, which broadcasts over the batch. Each sum negates
+            # first, as the sweep does: -(sum) differs from sum(-) in a
+            # NaN's sign.
             g_var = (-g_xhat * d / (std * std)).sum(axis=0) * 0.5 / std
             g_sq = g_var * inv_n * d
             g_mu = (-g_d).sum(axis=0)
             g_mu_sq = (-g_sq).sum(axis=0)
-            for _ in range(2):
-                x._accumulate(g_sq)
-                g_mu += g_mu_sq
-            x._accumulate(g_mu * inv_n)  # += broadcasts over the batch
+            g_mu += g_mu_sq
+            g_mu += g_mu_sq
+            return g_d, g_sq, g_sq, g_mu * inv_n
 
-        return Tensor._result(y, (x, gamma, beta), backward)
+        return Tensor._node(y, (x, gamma, beta), grad_x,
+                            lambda g: (g * xhat).sum(axis=0), lambda g: g.sum(axis=0))
 
 
 # -- optimizers -----------------------------------------------------------------

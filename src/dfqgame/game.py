@@ -103,14 +103,13 @@ class ProbeCache:
     """What a game's probes keep: how many have run (`count`), G's and P's
     forwards on the probe batch (`xz`) and the last R. Within a game only
     the two steps move what the probe reads: the max step writes G's
-    parameters (and G's BN running statistics, which the probe, running G
-    in batch mode, does not read), the min step Q's parameters; P is
-    frozen and the probe batch fixed. So the k-th probe (k from 0) reruns
-    G's and P's forwards only at k % 3 == 1 and R only at k % 3 != 0;
-    probe 0 runs both, and every other returns the last R. By the same
-    rule Q requantizes its weights only after its step, which calls
-    `QuantizedMLP.weights_moved` (in a worker, after it copies Q). A write
-    made by anything but the steps is not seen."""
+    parameters, the min step Q's parameters; P is frozen and the probe
+    batch fixed. So the k-th probe (k from 0) reruns G's and P's forwards
+    only at k % 3 == 1 and R only at k % 3 != 0; probe 0 runs both, and
+    every other returns the last R. By the same rule Q requantizes its
+    weights only after its step, which calls `QuantizedMLP.weights_moved`
+    (in a worker, after it copies Q). A write made by anything but the
+    steps is not seen."""
 
     count: int = 0
     xz: tuple | None = None
@@ -157,14 +156,11 @@ def loss_bound(h_norm: Tensor, lambda_l: float, lambda_u: float) -> Tensor:
     hinge = np.where(on_low, low, 0.0) + np.where(on_high, high, 0.0)
     inv_n = 1.0 / hinge.size
 
-    # by hand: the two hinges send two paths into h_norm
-    def backward(out):
-        if h_norm.requires_grad:
-            g = out.grad * inv_n
-            h_norm._accumulate(-(g * on_low))  # the sweep's order: low, then high
-            h_norm._accumulate(g * on_high)
+    def grad(g):  # two paths into h_norm: the low hinge's, then the high one's
+        g = g * inv_n
+        return -(g * on_low), g * on_high
 
-    return Tensor._result(hinge.sum() * inv_n, (h_norm,), backward)
+    return Tensor._node(hinge.sum() * inv_n, (h_norm,), grad)
 
 
 def bns_term(mu_g: Tensor, var_g: Tensor, mu_s, var_s, stat: str = "variance") -> Tensor:
@@ -180,18 +176,16 @@ def bns_term(mu_g: Tensor, var_g: Tensor, mu_s, var_s, stat: str = "variance") -
         sig_g, var_s = np.sqrt(sig_g), np.sqrt(var_s)
     d_sig = Tensor._broadcast(np.subtract, sig_g, var_s)
 
-    # by hand: each square sends two paths into its difference
-    def backward(out):
-        for t, d, root in ((mu_g, d_mu, None), (var_g, d_sig, sig_g if std else None)):
-            if t.requires_grad:  # in the sweep's order: the means, then the spreads
-                gd = out.grad * d
-                gd = _unbroadcast(gd + gd, t.shape)
-                if root is not None:  # through the square root
-                    gd = gd * 0.5 / root
-                t._accumulate(gd)
+    def grad(t, d, root):  # each square sends two paths into its difference
+        def path(g):
+            gd = g * d
+            gd = _unbroadcast(gd + gd, t.shape)
+            return gd if root is None else gd * 0.5 / root  # through the square root
+        return path
 
-    return Tensor._result(np.add((d_mu * d_mu).sum(), (d_sig * d_sig).sum()),
-                          (mu_g, var_g), backward)  # np.add: see weighted_loss
+    # np.add: see weighted_loss
+    return Tensor._node(np.add((d_mu * d_mu).sum(), (d_sig * d_sig).sum()), (mu_g, var_g),
+                        grad(mu_g, d_mu, None), grad(var_g, d_sig, sig_g if std else None))
 
 
 def loss_bns(record: BNStatsRecord, stat: str = "variance") -> Tensor:
@@ -232,7 +226,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     The gradient path reaches only the generator: P's weights are fixed
     and Q's are held out of the graph by the caller during this step.
     """
-    x = g.forward(z, y, mode="train")
+    x = g.forward(z, y, mode="batch")
     z_p, record = p.forward(x, mode="eval", collect_bns=True)
     lp = _logits_pair(z_p, q.forward(x, mode="eval"))
     p_ds = disagreement_distribution(lp)

@@ -172,16 +172,11 @@ def batch_variance(h: Tensor, mu: Tensor) -> Tensor:
     d = Tensor._broadcast(np.subtract, h.data, mu.data)
     inv_n = 1.0 / d.shape[0]
 
-    # by hand: each factor h - mu sends a path into h and one into mu
-    def backward(out):
-        g = out.grad * inv_n * d  # what each factor h - mu receives
-        for _ in range(2):  # the sweep's order: the first factor, then the second
-            if h.requires_grad:
-                h._accumulate(_unbroadcast(g, h.shape))
-            if mu.requires_grad:
-                mu._accumulate(_unbroadcast(-g, mu.shape))
-
-    return Tensor._result((d * d).sum(axis=0) * inv_n, (h, mu), backward)
+    # each factor h - mu receives g * inv_n * d and sends a path into h and
+    # one into mu: two equal paths into each
+    return Tensor._node((d * d).sum(axis=0) * inv_n, (h, mu),
+                        lambda g: (_unbroadcast(g * inv_n * d, h.shape),) * 2,
+                        lambda g: (_unbroadcast(-(g * inv_n * d), mu.shape),) * 2)
 
 
 class MLP(_BlockStack):
@@ -267,7 +262,9 @@ class Generator(_BlockStack):
         return [self.embedding] + super().parameters()
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [("embedding", self.embedding.data)] + super().named_arrays()
+        """G runs on batch statistics only, so its running ones are left out."""
+        return [("embedding", self.embedding.data)] + [
+            (n, a) for n, a in super().named_arrays() if ".running_" not in n]
 
     def forward(self, z: Tensor, y: Tensor, mode: str = "train") -> Tensor:
         if z.shape[-1] != self.spec.noise_dim:
@@ -378,7 +375,7 @@ def init_q_from_p(p: MLP, cfg: QuantConfig | None) -> QuantizedMLP:
 # f64 arrays little-endian in header order.
 
 _MAGIC = b"ADSG"
-_VERSION = 2
+_VERSION = 3
 
 
 # kind -> (network class, spec class)
@@ -417,11 +414,12 @@ def save_checkpoint(net, path) -> None:
 def _value_count(cls, spec) -> int:
     """How many float64 values the arrays of a `cls` network hold: per
     block a weight and five width-sized vectors (bias, gamma, beta and the
-    running statistics), then the head, and G's label embedding."""
+    running statistics, which G leaves out), then the head, and G's label
+    embedding."""
     gen = cls is Generator
     dims = (spec.noise_dim if gen else spec.input_dim, *spec.hidden,
             spec.output_dim if gen else spec.class_count)
-    count = sum(a * b for a, b in zip(dims, dims[1:])) + 5 * sum(spec.hidden)
+    count = sum(a * b for a, b in zip(dims, dims[1:])) + (3 if gen else 5) * sum(spec.hidden)
     return count + dims[-1] + (spec.class_count * spec.noise_dim if gen else 0)
 
 

@@ -323,6 +323,60 @@ class TestGradientHandOver:
         assert w not in copied
         assert w.grad.tobytes() == (x.data.T @ np.ones((5, 3)) + 0.0).tobytes()
 
+    # A grad function may return a tuple of paths into its parent: each is
+    # deposited with one `_accumulate`, in order, and none is taken over.
+
+    def test_tuple_paths_land_in_order(self):
+        # a prior gradient makes the order visible: of two NaNs the first
+        # one's sign survives, and 1 + 1e16 - 1e16 is not 1 + (1e16 - 1e16)
+        start = np.array([1.0, 2.0, -3.0])
+        a = np.array([1e16, np.nan, 0.5])
+        b = np.array([-1e16, -np.nan, 0.25])
+        x = Tensor(np.zeros(3), requires_grad=True)
+        x.grad = prior = start.copy()
+        out, _ = self._capture(x, lambda g: (a.copy(), b.copy()))
+        out.sum().backward()
+        assert x.grad is prior
+        assert x.grad.tobytes() == (start + a + b).tobytes()
+        for other in (start + b + a, start + (a + b)):
+            assert x.grad.tobytes() != other.tobytes()
+
+    def test_the_same_path_twice_is_copied(self):
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        out, seen = self._capture(x, lambda g: (g * 3.0,) * 2)
+        out.sum().backward()
+        path = seen["result"][0]
+        assert not np.shares_memory(x.grad, path)
+        assert path.tolist() == [[3.0, 3.0]]  # left as it was returned
+        assert x.grad.tobytes() == (path + 0.0 + path).tobytes()
+
+    def test_a_first_path_of_negative_zero_is_stored_as_positive_zero(self):
+        x = Tensor(np.zeros(2), requires_grad=True)
+        out, _ = self._capture(x, lambda g: (np.array([-0.0, -0.0]),))
+        out.sum().backward()
+        assert x.grad.tolist() == [0.0, 0.0] and not np.signbit(x.grad).any()
+
+    def test_a_later_path_is_added_by_broadcasting(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        first = np.arange(6.0).reshape(3, 2)
+        out, _ = self._capture(x, lambda g: (first.copy(), np.array([0.5, -1.0])))
+        out.sum().backward()
+        assert x.grad.shape == (3, 2)
+        assert x.grad.tobytes() == (first + 0.0 + np.array([0.5, -1.0])).tobytes()
+
+    def test_a_parent_without_a_gradient_runs_no_grad_function(self):
+        frozen_x = Tensor(np.ones(2))
+        y = Tensor(np.ones(2), requires_grad=True)
+        ran = []
+
+        def grad(name):
+            return lambda g: ran.append(name) or (g * 2.0, g * 3.0)
+
+        Tensor._node(frozen_x.data + y.data, (frozen_x, y),
+                     grad("x"), grad("y")).sum().backward()
+        assert ran == ["y"] and frozen_x.grad is None
+        assert y.grad.tolist() == [5.0, 5.0]
+
 
 # Reference gradients, written as the ops' hand-written backwards wrote
 # them: (into the left operand, into the right) as functions of the upstream

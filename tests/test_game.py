@@ -240,6 +240,18 @@ class TestSteps:
                     zip(g.parameters(), before))
         assert moved > 0.0
 
+    def test_maximization_leaves_g_running_statistics(self, trained_setup):
+        """The max step runs G on batch statistics without updating the
+        running ones, which nothing reads."""
+        p, _ = trained_setup
+        q, g = fresh_players(p)
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        z, y = draw_batch(seeded_rng(1), 8, 5, 4)
+        maximization_step(state, z, y)
+        for _, bn in g.blocks:
+            assert bn.running_mean.tobytes() == np.zeros(bn.width).tobytes()
+            assert bn.running_var.tobytes() == np.ones(bn.width).tobytes()
+
     def test_minimization_leaves_g_bit_identical(self, trained_setup):
         p, _ = trained_setup
         q, g = fresh_players(p)

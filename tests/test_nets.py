@@ -368,6 +368,33 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="unsupported format version 1"):
             load_checkpoint(path)
 
+    def test_a_version_2_file_is_rejected(self, tmp_path):
+        """Version 2 files held G's BN running statistics, which are gone."""
+        path = tmp_path / "g.ckpt"
+        save_checkpoint(Generator(SMALL_GEN, seeded_rng(7)), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unsupported format version 2"):
+            load_checkpoint(path)
+
+    def test_a_generator_checkpoint_holds_no_running_statistics(self, tmp_path):
+        """G runs on batch statistics only, so its file leaves its running
+        ones out: three width-sized vectors per block, and a round trip
+        restores every array it names."""
+        g = Generator(SMALL_GEN, seeded_rng(7))
+        names = [n for n, _ in g.named_arrays()]
+        assert not [n for n in names if "running" in n]
+        assert len(names) == 1 + 4 * len(SMALL_GEN.hidden) + 2
+        path = tmp_path / "g.ckpt"
+        save_checkpoint(g, path)
+        raw = path.read_bytes()
+        header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+        assert [a["name"] for a in header["arrays"]] == names
+        restored = load_checkpoint(path)
+        assert [(n, a.tobytes()) for n, a in restored.named_arrays()] == \
+            [(n, a.tobytes()) for n, a in g.named_arrays()]
+
     def test_corrupt_header_rejected(self, tmp_path):
         net = MLP(SMALL, seeded_rng(7))
         path = tmp_path / "net.ckpt"
