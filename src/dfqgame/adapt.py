@@ -1,9 +1,8 @@
 """Sample-adaptability measurement stack.
 
 Disagreement/agreement distributions over the class axis, batch-normalized
-entropy, the vector-valued adaptability measure H_C, the game value, and
-the balance gap of one game iteration with its maximization/minimization
-decomposition.
+entropy, the game value, and the balance gap of one game iteration with its
+maximization/minimization decomposition.
 
 Graph-valued functions take and return engine Tensors so losses stay
 differentiable; the balance-gap record holds plain floats.
@@ -99,12 +98,6 @@ def normalize_entropy(h_info: Tensor, class_count: int,
         batch_min = float(h_info.data.min())
     denom = math.log(class_count) - batch_min + NORM_EPS
     return (h_info - batch_min) * (1.0 / denom), batch_min
-
-
-def adaptability_vector(p_ds: Tensor, h: Tensor) -> Tensor:
-    """H_C = (p_ds / ||p_ds||_2) * H per row."""
-    norm = (p_ds * p_ds).sum(axis=-1, keepdims=True).sqrt()
-    return (p_ds / norm) * h.reshape(-1, 1)
 
 
 def game_value(lp: LogitsPair, tau: float = 1.0,

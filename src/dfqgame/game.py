@@ -127,7 +127,7 @@ class GameState:
     probe_z: Tensor
     probe_y: Tensor
     logs: list[IterationLog] = field(default_factory=list)
-    probe_cache: ProbeCache = field(default_factory=ProbeCache)
+    probe_cache: ProbeCache | ProbeWorker = field(default_factory=ProbeCache)
 
 
 # -- losses -------------------------------------------------------------------
@@ -226,9 +226,9 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     The gradient path reaches only the generator: P's weights are fixed
     and Q's are held out of the graph by the caller during this step.
     """
-    x = g.forward(z, y, mode="batch")
-    z_p, record = p.forward(x, mode="eval", collect_bns=True)
-    lp = _logits_pair(z_p, q.forward(x, mode="eval"))
+    x = g.forward(z, y)
+    z_p, record = p.forward(x, collect_bns=True)
+    lp = _logits_pair(z_p, q.forward(x))
     p_ds = disagreement_distribution(lp)
     p_as = agreement_distribution(lp)
     h_info = info_entropy(p_ds)
@@ -259,9 +259,8 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
                      tau: float = 1.0, cache: ProbeCache | None = None) -> float:
     """R on the fixed probe batch as a pure function of (theta_g, theta_q):
     the game value at temperature `tau`, which a game sets to its `hp.tau`
-    so that R is the value Q's step descends. G uses batch statistics
-    without touching its running buffers, P and Q run in eval mode.
-    Nothing is differentiated, so no graph is built.
+    so that R is the value Q's step descends. Nothing is differentiated,
+    so no graph is built.
 
     With the game's `cache`, a probe runs only the forwards that its place
     in the iteration says have moved (see ProbeCache); without one every
@@ -276,10 +275,10 @@ def probe_game_value(g: Generator, p: MLP, q: QuantizedMLP,
     if place:
         with frozen(g.parameters() + p.parameters() + q.parameters()):
             if place == 1:
-                x = g.forward(probe_z, probe_y, mode="batch")
-                cache.xz = x, p.forward(x, mode="eval")
+                x = g.forward(probe_z, probe_y)
+                cache.xz = x, p.forward(x)
             x, z_p = cache.xz
-            cache.r = game_value(_logits_pair(z_p, q.forward(x, mode="eval")), tau).item()
+            cache.r = game_value(_logits_pair(z_p, q.forward(x)), tau).item()
     cache.count += 1
     return cache.r
 
@@ -307,9 +306,9 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
     """One Nesterov-SGD step on Q against the calibration loss, on a fresh
     batch from the just-updated generator; G is held bit-identical."""
     with frozen(state.g.parameters() + state.p.parameters()):
-        x = state.g.forward(z, y, mode="batch")
-        z_p = state.p.forward(x, mode="eval")
-    z_q = state.q.forward(x, mode="eval")
+        x = state.g.forward(z, y)
+        z_p = state.p.forward(x)
+    z_q = state.q.forward(x)
     l_q = game_value(_logits_pair(z_p, z_q), state.hp.tau)
     if not math.isfinite(l_q.item()):
         raise NumericalError(f"non-finite calibration loss: {l_q.item()}")
@@ -336,13 +335,12 @@ def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
 
 
 def play_iteration(state: GameState, max_batch, min_batch,
-                   epoch: int = 0, iteration: int = 0,
-                   cache: ProbeCache | ProbeWorker | None = None) -> IterationLog:
+                   epoch: int = 0, iteration: int = 0) -> IterationLog:
     """One maximization step on `max_batch`, then one minimization step on
-    `min_batch`, with the game value probed before, between and after.
-    `cache` replaces `state.probe_cache` in the probe calls."""
+    `min_batch`, with the game value probed before, between and after
+    through `state.probe_cache`."""
     probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, state.hp.tau,
-             state.probe_cache if cache is None else cache)
+             state.probe_cache)
     r_before = probe_game_value(*probe)
     components = maximization_step(state, *max_batch)
     r_mid = probe_game_value(*probe)
@@ -515,19 +513,20 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     carries the game state as `state`.
 
     Where a worker fits (`_worker_fits`), can be started and the game has
-    an iteration, a ProbeWorker evaluates the probes while this process
-    steps, and each log's balance gap is filled in from its values at the
-    end. Of the exceptions raised, the first in the in-process order
-    (probe before, max step, probe between, min step, probe after) is
-    raised, with the logs of the iterations before it. When that was a probe's, the players
-    in `err.state` may be past those logs, usually by one iteration: the
-    loop learns of it at a later probe request.
+    an iteration, a ProbeWorker, as `state.probe_cache`, evaluates the
+    probes while this process steps, and each log's balance gap is filled
+    in from its values at the end. Of the exceptions raised, the first in
+    the in-process order (probe before, max step, probe between, min step,
+    probe after) is raised, with the logs of the iterations before it.
+    When that was a probe's, the players in `err.state` may be past those
+    logs, usually by one iteration: the loop learns of it at a later probe
+    request.
     """
     state = init_game(p, q, g, hp, rng)
     worker = None
     if hp.epochs * hp.iters_per_epoch > 0 and _worker_fits():
         try:
-            worker = ProbeWorker(state)
+            state.probe_cache = worker = ProbeWorker(state)
         except OSError:  # no pipe, shared memory or process to be had
             pass
 
@@ -540,7 +539,7 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
             if epoch > 0 and hp.lr_decay_period > 0 and epoch % hp.lr_decay_period == 0:
                 state.opt_q.lr *= hp.lr_decay_factor
             for it in range(hp.iters_per_epoch):
-                log = play_iteration(state, draw(), draw(), epoch, it, worker)
+                log = play_iteration(state, draw(), draw(), epoch, it)
                 last_iter = (epoch == hp.epochs - 1 and it == hp.iters_per_epoch - 1)
                 if eval_data is not None and (
                         (it == hp.iters_per_epoch - 1 and epoch % eval_period == 0)

@@ -37,9 +37,10 @@ class CheckpointError(RuntimeError):
 def check_fields(spec, error=ValueError, at_least=None, above=None) -> None:
     """Raise `error` unless each field of the dataclass `spec` holds what its
     annotation admits: ints in a count (`int` or `tuple[int, ...]`; a bool
-    is not a count), a finite real number in a `float` and a string or a
-    path in a `str`. A field named in `at_least` (or `above`) must be >=
-    (or >) its bound there, every entry of a tuple."""
+    is not a count), a finite real number in a `float` (nor is a bool: its
+    config file would not parse) and a string or a path in a `str`. A field
+    named in `at_least` (or `above`) must be >= (or >) its bound there,
+    every entry of a tuple."""
     rules = ((">=", operator.ge, at_least or {}), (">", operator.gt, above or {}))
     for f in fields(spec):
         value = getattr(spec, f.name)
@@ -48,8 +49,8 @@ def check_fields(spec, error=ValueError, at_least=None, above=None) -> None:
                 not isinstance(entries, tuple) or any(
                     isinstance(v, bool) or not isinstance(v, int) for v in entries)):
             raise error(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not (isinstance(value, numbers.Real)
-                                      and math.isfinite(value)):
+        if f.type == "float" and (isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value))):
             raise error(f"{f.name} must be a finite number, got {value!r}")
         if f.type == "str" and not isinstance(value, (str, os.PathLike)):
             raise error(f"{f.name} must be a string or a path, got {value!r}")
@@ -149,15 +150,14 @@ class _BlockStack:
                 ("head.bias", self.head.bias.data)]
         return out
 
-    def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
-        """Layer `slot` of the forward order (the head is the last)."""
+    def _affine(self, aff: Affine, h: Tensor) -> Tensor:
         return aff(h)
 
     def _hidden(self, h: Tensor, mode: str, taps=None) -> Tensor:
         """Run the blocks; `taps`, a (means, variances) pair of lists,
         receives the batch statistics of each BN layer's input."""
-        for slot, (aff, bn) in enumerate(self.blocks):
-            h = self._affine(slot, aff, h)
+        for aff, bn in self.blocks:
+            h = self._affine(aff, h)
             if taps is not None:
                 mu = h.mean(axis=0)
                 taps[0].append(mu)
@@ -220,31 +220,32 @@ class QuantizedMLP(_BlockStack):
 
     def weights_moved(self) -> None:
         """Drop the kept quantized weights; the next forward requantizes."""
-        self._weights_q = [None] * (len(self.blocks) + 1)  # in forward order
+        self._weights_q = {}  # weight Tensor -> its quantized array
 
     def _fq(self, t: Tensor) -> Tensor:
         if self.cfg is None:
             return t
         return fake_quantize(t, self.cfg.bits)
 
-    def _fq_weight(self, slot: int, w: Tensor) -> Tensor:
+    def _fq_weight(self, w: Tensor) -> Tensor:
         """fake_quantize(w), kept until `weights_moved`."""
         if self.cfg is None:
             return w
-        if self._weights_q[slot] is None:
+        out = self._weights_q.get(w)
+        if out is None:
             with frozen([w]):  # no graph: the node below is built on every call
                 out = fake_quantize(w, self.cfg.bits).data
             out.flags.writeable = False  # shared by every later forward
-            self._weights_q[slot] = out
+            self._weights_q[w] = out
         # straight-through, as in fake_quantize
-        return Tensor._node(self._weights_q[slot], (w,), lambda g: g)
+        return Tensor._node(out, (w,), lambda g: g)
 
-    def _affine(self, slot: int, aff: Affine, h: Tensor) -> Tensor:
-        return self._fq(h) @ self._fq_weight(slot, aff.weight) + aff.bias
+    def _affine(self, aff: Affine, h: Tensor) -> Tensor:
+        return self._fq(h) @ self._fq_weight(aff.weight) + aff.bias
 
-    def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
-        h = self._hidden(x, "eval")  # stats frozen; affine params still train
-        return self._affine(len(self.blocks), self.head, h)
+    def forward(self, x: Tensor) -> Tensor:
+        """Logits, with batch norm on P's frozen statistics."""
+        return self._affine(self.head, self._hidden(x, "eval"))
 
 
 class Generator(_BlockStack):
@@ -266,13 +267,14 @@ class Generator(_BlockStack):
         return [("embedding", self.embedding.data)] + [
             (n, a) for n, a in super().named_arrays() if ".running_" not in n]
 
-    def forward(self, z: Tensor, y: Tensor, mode: str = "train") -> Tensor:
+    def forward(self, z: Tensor, y: Tensor) -> Tensor:
+        """Samples, with batch norm on this batch's statistics."""
         if z.shape[-1] != self.spec.noise_dim:
             raise ShapeMismatchError(
                 f"noise dim {z.shape[-1]} != {self.spec.noise_dim}"
             )
         _validate_one_hot(y, self.spec.class_count)
-        return self.head(self._hidden(z + y @ self.embedding, mode))
+        return self.head(self._hidden(z + y @ self.embedding, "batch"))
 
 
 def _validate_one_hot(y: Tensor, class_count: int) -> None:
@@ -323,7 +325,7 @@ def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:
 
 def accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
     with frozen(net.parameters()):
-        logits = net.forward(Tensor(x), mode="eval")
+        logits = net.forward(Tensor(x))
     pred = logits.data.argmax(axis=1)
     return float((pred == labels).mean())
 

@@ -94,23 +94,19 @@ def synth_dataset(spec: DatasetSpec, seed: int):
     offsets = rng.standard_normal((pairs, spec.input_dim))
     offsets = (offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
                * spec.pair_offset)
-    centers = np.empty((spec.class_count, spec.input_dim))
-    for k in range(pairs):
-        centers[2 * k] = shared[k] + offsets[k]
-        centers[2 * k + 1] = shared[k] - offsets[k]
+    centers = np.stack([shared + offsets, shared - offsets], axis=1).reshape(
+        spec.class_count, spec.input_dim)  # classes 2k and 2k+1 around pair k
     scales = spec.spread * rng.uniform(0.5, 1.5,
                                        (spec.class_count, spec.input_dim))
-    train_x, train_y, test_x, test_y = [], [], [], []
+    pts = centers[:, None] + rng.standard_normal(
+        (spec.class_count, spec.samples_per_class, spec.input_dim)) * scales[:, None]
     n_train = int(spec.samples_per_class * 0.8)
-    for c in range(spec.class_count):
-        pts = centers[c] + rng.standard_normal(
-            (spec.samples_per_class, spec.input_dim)) * scales[c]
-        train_x.append(pts[:n_train])
-        test_x.append(pts[n_train:])
-        train_y.append(np.full(n_train, c))
-        test_y.append(np.full(spec.samples_per_class - n_train, c))
-    return (np.concatenate(train_x), np.concatenate(train_y).astype(np.int64),
-            np.concatenate(test_x), np.concatenate(test_y).astype(np.int64))
+
+    def rows(part):  # (class, sample, dim) -> class-major rows and labels
+        return (part.reshape(-1, spec.input_dim),
+                np.repeat(np.arange(spec.class_count, dtype=np.int64), part.shape[1]))
+
+    return (*rows(pts[:, :n_train]), *rows(pts[:, n_train:]))
 
 
 # -- config file (INI-style key = value sections) ------------------------------

@@ -32,3 +32,9 @@ def bg_halving_trial(p, q, g, hp, rng, iterations: int = 50):
         bg_half = play_iteration(half, *batches).bg
         pairs.append((play_iteration(state, *batches).bg, bg_half))
     return pairs
+
+
+def adaptability_vector(p_ds: Tensor, h: Tensor) -> Tensor:
+    """H_C = (p_ds / ||p_ds||_2) * H per row."""
+    norm = (p_ds * p_ds).sum(axis=-1, keepdims=True).sqrt()
+    return (p_ds / norm) * h.reshape(-1, 1)

@@ -23,7 +23,6 @@ from dfqgame.adapt import (
     game_value,
     info_entropy,
     normalize_entropy,
-    adaptability_vector,
 )
 from dfqgame.engine import Tensor, seeded_rng
 from dfqgame.game import (
@@ -45,7 +44,7 @@ from dfqgame.nets import (
     one_hot,
 )
 from dfqgame.quant import QuantConfig, dequantize, quantize
-from helpers import bg_halving_trial, collect_generated_bns
+from helpers import adaptability_vector, bg_halving_trial, collect_generated_bns
 
 
 def verdict(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -253,9 +252,9 @@ def test_criterion_2_gradient_suite(capsys):
         tau = float(rng.uniform(0.5, 2.0))
 
         def pair():
-            x = g.forward(z, y, mode="batch")
+            x = g.forward(z, y)
             return LogitsPair(p.forward(x, mode="eval"),
-                              q.forward(x, mode="eval")), x
+                              q.forward(x)), x
 
         # pin the stop-gradient constants at their unperturbed values so the
         # finite differences probe exactly the function being differentiated
@@ -285,20 +284,20 @@ def test_criterion_2_gradient_suite(capsys):
             return loss_bound(hn, lam_l, lam_u)
 
         def eval_l_bns():
-            return loss_bns(collect_generated_bns(p, g.forward(z, y, "batch")))
+            return loss_bns(collect_generated_bns(p, g.forward(z, y)))
 
         def eval_l_g():
             return generator_loss(g, p, q, z, y, hp, batch_min=bm)[0]
 
-        x_fixed = Tensor(g.forward(z, y, mode="batch").data.copy())
+        x_fixed = Tensor(g.forward(z, y).data.copy())
         z_p_fixed = Tensor(p.forward(x_fixed, mode="eval").data.copy())
-        lp_q0 = LogitsPair(z_p_fixed, q.forward(x_fixed, mode="eval"))
+        lp_q0 = LogitsPair(z_p_fixed, q.forward(x_fixed))
         hq = info_entropy(
             Tensor(oracle_softmax_rows((lp_q0.z_p.data - lp_q0.z_q.data), tau)))
         bm_q = float(hq.data.min())
 
         def eval_l_q():
-            lp = LogitsPair(z_p_fixed, q.forward(x_fixed, mode="eval"))
+            lp = LogitsPair(z_p_fixed, q.forward(x_fixed))
             return game_value(lp, tau, batch_min=bm_q)
 
         g_params = g.parameters()

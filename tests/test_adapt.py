@@ -9,7 +9,6 @@ import pytest
 
 from dfqgame.adapt import (
     LogitsPair,
-    adaptability_vector,
     agreement_distribution,
     balance_gap,
     disagreement_distribution,
@@ -19,6 +18,7 @@ from dfqgame.adapt import (
     NORM_EPS,
 )
 from dfqgame.engine import Tensor, seeded_rng
+from helpers import adaptability_vector
 
 
 def random_pair(seed, batch=8, classes=10) -> LogitsPair:

@@ -85,7 +85,7 @@ FLOATS = [c for c in NUMERIC if c[2] == FLOAT]
 
 
 @pytest.mark.parametrize("cls, name, kind", FLOATS, ids=ids(FLOATS))
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1.0", None])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1.0", None, True, False])
 def test_a_float_field_rejects_a_non_finite_value(cls, name, kind, value):
     with pytest.raises(ERROR[cls]):
         build(cls, name, kind, value)

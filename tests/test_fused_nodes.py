@@ -418,7 +418,7 @@ def player_gradients(cfg, mode, hp=None):
     with engine.frozen(q.parameters()):
         l_g, _ = generator_loss(g, p, q, z, y, hp)
     l_g.backward()
-    x = Tensor(g.forward(z, y, mode="batch").data.copy())
+    x = Tensor(g.forward(z, y).data.copy())
     l_q = adapt.game_value(adapt.LogitsPair(p.forward(x), q.forward(x)), tau=0.7)
     l_q.backward()
     for t in p.parameters():

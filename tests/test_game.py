@@ -454,8 +454,8 @@ class TestProbeCache:
         fake_quantize_array of the weight as it is then."""
         fq_weight, seen = nets.QuantizedMLP._fq_weight, tmp_path / "weights"
 
-        def compared(q, slot, w):
-            out = fq_weight(q, slot, w)
+        def compared(q, w):
+            out = fq_weight(q, w)
             fresh = fake_quantize_array(w.data, q.cfg.bits)
             with open(seen, "a") as f:
                 f.write(f"{os.getpid()} {out.data.tobytes() == fresh.tobytes()}\n")
@@ -723,7 +723,7 @@ class TestProbeWorker:
             r = probe(*args)
             g, p, q, z, y = args[:5]
             if isinstance(args[-1], game.ProbeCache):
-                x = g.forward(z, y, mode="batch")
+                x = g.forward(z, y)
                 lp = LogitsPair(p.forward(x), q.forward(x))
                 with open(seen, "a") as f:
                     f.write(f"{r.hex()} {game_value(lp, tau=2.0).item().hex()} "

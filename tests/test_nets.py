@@ -156,14 +156,14 @@ class TestQuantizedMLP:
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, None)
         zp = p.forward(Tensor(sx), mode="eval").data
-        zq = q.forward(Tensor(sx), mode="eval").data
+        zq = q.forward(Tensor(sx)).data
         np.testing.assert_allclose(zq, zp, atol=1e-12)
 
     def test_quantization_perturbs_logits(self):
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, QuantConfig(bits=3))
         zp = p.forward(Tensor(sx), mode="eval").data
-        zq = q.forward(Tensor(sx), mode="eval").data
+        zq = q.forward(Tensor(sx)).data
         assert np.abs(zq - zp).max() > 1e-3
 
     def test_more_bits_less_damage(self):
@@ -175,7 +175,7 @@ class TestQuantizedMLP:
     def test_bn_stats_copied_and_frozen(self):
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, QuantConfig(4))
-        q.forward(Tensor(sx), mode="train")  # Q's BN runs in eval mode
+        q.forward(Tensor(sx))  # Q's BN runs in eval mode
         for (_, pb), (_, qb) in zip(p.blocks, q.blocks):
             np.testing.assert_array_equal(qb.running_mean, pb.running_mean)
             np.testing.assert_array_equal(qb.running_var, pb.running_var)
@@ -256,30 +256,30 @@ class TestGenerator:
         g = Generator(SMALL_GEN, seeded_rng(0))
         z = Tensor(seeded_rng(1).standard_normal((7, 5)))
         y = one_hot(np.array([0, 1, 2, 3, 0, 1, 2]), 4)
-        assert g.forward(z, y, mode="train").shape == (7, 6)
+        assert g.forward(z, y).shape == (7, 6)
 
     def test_label_changes_output(self):
         # a batch-constant label shift would be absorbed by the first BN,
         # so compare batches whose label patterns differ per row
         g = Generator(SMALL_GEN, seeded_rng(0))
         z = Tensor(seeded_rng(1).standard_normal((4, 5)))
-        a = g.forward(z, one_hot(np.array([0, 1, 2, 3]), 4), mode="batch").data
-        b = g.forward(z, one_hot(np.array([1, 0, 3, 2]), 4), mode="batch").data
+        a = g.forward(z, one_hot(np.array([0, 1, 2, 3]), 4)).data
+        b = g.forward(z, one_hot(np.array([1, 0, 3, 2]), 4)).data
         assert np.abs(a - b).max() > 1e-6
 
     def test_bad_one_hot_rejected(self):
         g = Generator(SMALL_GEN, seeded_rng(0))
         z = Tensor(np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            g.forward(z, Tensor(np.full((2, 4), 0.25)), mode="train")
+            g.forward(z, Tensor(np.full((2, 4), 0.25)))
         with pytest.raises(ShapeMismatchError):
-            g.forward(z, Tensor(np.zeros((2, 3))), mode="train")
+            g.forward(z, Tensor(np.zeros((2, 3))))
 
     def test_noise_dim_checked(self):
         g = Generator(SMALL_GEN, seeded_rng(0))
         with pytest.raises(ShapeMismatchError):
             g.forward(Tensor(np.zeros((2, 9))),
-                      one_hot(np.zeros(2, dtype=int), 4), mode="train")
+                      one_hot(np.zeros(2, dtype=int), 4))
 
 
 def _array_bytes(entries, body):

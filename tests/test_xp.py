@@ -13,6 +13,7 @@ import pytest
 
 from dfqgame import cli, game, nets, xp
 from dfqgame.adapt import balance_gap
+from dfqgame.engine import seeded_rng
 from dfqgame.xp import (
     ConfigError,
     DatasetSpec,
@@ -64,6 +65,38 @@ class TestSynthDataset:
         np.testing.assert_array_equal(a[0], b[0])
         c = synth_dataset(DatasetSpec(), 8)
         assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("spec", [DatasetSpec(), DatasetSpec(4, 3, 21)])
+    def test_equals_the_per_class_draws(self, spec):
+        """One draw per array gives the bytes of drawing the centers pair by
+        pair and the points class by class."""
+        for seed in range(5):
+            rng = seeded_rng(seed)
+            pairs = spec.class_count // 2
+            shared = rng.standard_normal((pairs, spec.input_dim)) * spec.cluster_scale
+            offsets = rng.standard_normal((pairs, spec.input_dim))
+            offsets = (offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
+                       * spec.pair_offset)
+            centers = np.empty((spec.class_count, spec.input_dim))
+            for k in range(pairs):
+                centers[2 * k] = shared[k] + offsets[k]
+                centers[2 * k + 1] = shared[k] - offsets[k]
+            scales = spec.spread * rng.uniform(0.5, 1.5,
+                                               (spec.class_count, spec.input_dim))
+            parts = [[], [], [], []]
+            n_train = int(spec.samples_per_class * 0.8)
+            for c in range(spec.class_count):
+                pts = centers[c] + rng.standard_normal(
+                    (spec.samples_per_class, spec.input_dim)) * scales[c]
+                parts[0].append(pts[:n_train])
+                parts[1].append(np.full(n_train, c, dtype=np.int64))
+                parts[2].append(pts[n_train:])
+                parts[3].append(np.full(spec.samples_per_class - n_train, c,
+                                        dtype=np.int64))
+            ref = [np.concatenate(part) for part in parts]
+            out = synth_dataset(spec, seed)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in out] \
+                == [(a.dtype, a.shape, a.tobytes()) for a in ref]
 
     def test_paired_classes_share_a_neighborhood(self):
         spec = DatasetSpec()
