@@ -148,6 +148,14 @@ MUTANTS = (
         "play_iteration ignores the game's probe source: every probe reruns"
         " every forward, and a worker gets no requests"),
     Mutant(
+        "state-keeps-the-finished-worker", GAME,
+        "        state.probe_cache = ProbeCache()  # a state handed out probes in-process\n",
+        "",
+        (PROBE_WORKER + "test_the_returned_state_plays_on",
+         PROBE_WORKER + "test_the_state_of_an_error_plays_on"),
+        "run_game hands out a state whose probe source is the closed worker,"
+        " so a further play_iteration cannot probe"),
+    Mutant(
         "probe-reruns-g-and-p-at-the-wrong-place", GAME,
         "            if place == 1:\n",
         "            if place == 2:\n",

@@ -1,16 +1,16 @@
 """Run the mutant catalogue.
 
-    python3 mutants/run.py                       # every mutant
-    python3 mutants/run.py --only NAME [NAME ...] --timeout 300 --report PATH
+    python3 mutants/run.py [--report PATH]
 
 Copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
 runs every test the catalogue names once on the unmutated copy (they must
 pass), then applies one mutant at a time and runs only its tests, with `-x`
-and a timeout per mutant. A mutant is killed when a test fails or the run
-times out (some mutants hang the probe worker), survives when its tests
-pass, and is an error when pytest ends any other way (say, a test id that
-collects nothing). Writes a JSON report (default `.mutants/report.json`)
-and exits 0 only when every mutant run was killed.
+and a timeout of TIMEOUT seconds (the unmutated run gets twice that). A
+mutant is killed when a test fails or the run times out (some mutants hang
+the probe worker), survives when its tests pass, and is an error when
+pytest ends any other way (say, a test id that collects nothing). Writes
+a JSON report (default `.mutants/report.json`) and exits 0 only when every
+mutant run was killed.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from catalogue import MUTANTS  # noqa: E402
 COPIED = ("src", "tests", "pyproject.toml")
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 VERDICTS = {"failed": "killed", "timeout": "killed", "passed": "survived"}  # else "error"
+TIMEOUT = 300.0
 
 
 def pytest(copy: Path, ids, timeout: float) -> tuple[str, int | None, str]:
@@ -57,15 +58,9 @@ def pytest(copy: Path, ids, timeout: float) -> tuple[str, int | None, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per mutant; the unmutated run gets twice as long")
     parser.add_argument("--report", type=Path, default=ROOT / ".mutants" / "report.json")
     args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutant: {sorted(unknown)}")
+    mutants = list(MUTANTS)
 
     start = time.perf_counter()
     report = {"mutants": [], "killed": [], "survived": [], "error": []}
@@ -78,7 +73,7 @@ def main(argv=None) -> int:
             else:
                 shutil.copy2(src, copy / name)
         ids = list(dict.fromkeys(t for m in mutants for t in m.tests))
-        status, code, tail = pytest(copy, ids, args.timeout * 2)
+        status, code, tail = pytest(copy, ids, TIMEOUT * 2)
         report["baseline"] = {"status": status, "returncode": code,
                               "seconds": round(time.perf_counter() - start, 1)}
         if status != "passed":
@@ -92,7 +87,7 @@ def main(argv=None) -> int:
             path.write_text(original.replace(m.old, m.new))
             began = time.perf_counter()
             try:
-                status, code, tail = pytest(copy, m.tests, args.timeout)
+                status, code, tail = pytest(copy, m.tests, TIMEOUT)
             finally:
                 path.write_text(original)
             verdict = VERDICTS.get(status, "error")

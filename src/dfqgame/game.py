@@ -515,9 +515,11 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     Where a worker fits (`_worker_fits`), can be started and the game has
     an iteration, a ProbeWorker, as `state.probe_cache`, evaluates the
     probes while this process steps, and each log's balance gap is filled
-    in from its values at the end. Of the exceptions raised, the first in
-    the in-process order (probe before, max step, probe between, min step,
-    probe after) is raised, with the logs of the iterations before it.
+    in from its values at the end, when a fresh ProbeCache replaces it (the
+    first probe of a further iteration runs every forward). Of the
+    exceptions raised, the first in the in-process order (probe before, max
+    step, probe between, min step, probe after) is raised, with the logs of
+    the iterations before it.
     When that was a probe's, the players in `err.state` may be past those
     logs, usually by one iteration: the loop learns of it at a later probe
     request.
@@ -554,6 +556,7 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
         raise
     if worker is not None:
         values, probe_error = worker.finish()
+        state.probe_cache = ProbeCache()  # a state handed out probes in-process
         if probe_error is not None:
             del state.logs[len(values) // 3:]
             error = probe_error

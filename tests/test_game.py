@@ -744,6 +744,28 @@ class TestProbeWorker:
         for log in state.logs:
             assert log.bg.bg == log.bg.delta_g - log.bg.delta_q
 
+    def test_the_returned_state_plays_on(self, trained_setup, probe_path):
+        """A further play_iteration on run_game's state probes in this
+        process, with the bytes of a loop that probed in-process throughout."""
+        p = trained_setup[0]
+        ref, message = plain_game(p, self.HP, seeded_rng(0), None, 2)
+        assert message is None
+        state = self._run(p, None)
+        batches = [draw_batch(seeded_rng(1), self.HP.batch_size, 5, 4) for _ in range(2)]
+        for s in (state, ref):
+            s.logs.append(play_iteration(s, *batches))
+        assert math.isfinite(state.logs[-1].bg.bg)
+        assert logs_and_players(state) == logs_and_players(ref)
+
+    def test_the_state_of_an_error_plays_on(self, trained_setup, probe_path,
+                                            monkeypatch):
+        fail_on_r_evaluation(monkeypatch, 8)  # iteration 2, between the steps
+        with pytest.raises(NumericalError) as info:
+            self._run(trained_setup[0], None)
+        state = info.value.state
+        batches = [draw_batch(seeded_rng(1), self.HP.batch_size, 5, 4) for _ in range(2)]
+        assert math.isfinite(play_iteration(state, *batches).bg.bg)
+
     # 1: the first probe; 6: the last of iteration 1; 8: the one between the
     # steps of iteration 2; 14: the one between the steps of epoch 1's first
     @pytest.mark.parametrize("k", [1, 6, 8, 14])
