@@ -24,6 +24,7 @@ class Mutant:
 
 
 ENGINE, NETS, GAME = "src/dfqgame/engine.py", "src/dfqgame/nets.py", "src/dfqgame/game.py"
+ADAPT = "src/dfqgame/adapt.py"
 HAND_OVER = "tests/test_engine.py::TestGradientHandOver::"
 PROBE_CACHE = "tests/test_game.py::TestProbeCache::"
 PROBE_WORKER = "tests/test_game.py::TestProbeWorker::"
@@ -85,6 +86,21 @@ MUTANTS = (
         ("tests/test_fused_nodes.py::test_batch_norm_node_matches_the_reference_tape",),
         "batch norm's mean is summed in another order"),
     Mutant(
+        "batch-norm-mean-deposits-folded", ENGINE,
+        "            g_mu += g_mu_sq\n"
+        "            g_mu += g_mu_sq\n",
+        "            g_mu += 2 * g_mu_sq\n",
+        ("tests/test_fused_nodes.py::test_batch_norm_node_matches_the_reference_tape",),
+        "batch norm's two variance paths into the mean land as one deposit,"
+        " which rounds once instead of twice"),
+    Mutant(
+        "batch-norm-negation-out-of-the-sum", ENGINE,
+        "            g_mu = (-g_d).sum(axis=0)\n",
+        "            g_mu = -g_d.sum(axis=0)\n",
+        ("tests/test_fused_nodes.py::test_batch_norm_negates_each_term_before_the_means_sum",),
+        "batch norm negates the mean path's sum, not its terms: a NaN made by"
+        " inf - inf gets the other sign"),
+    Mutant(
         "softmax-backward-summed-sequentially", ENGINE,
         "        ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)\n",
         "        ge += np.cumsum(-g * e / (s * s), axis=axis)[..., -1:]\n",
@@ -99,6 +115,17 @@ MUTANTS = (
         "           + l_b.data * w_b) + l_bns.data * w_bns\n",
         ("tests/test_fused_nodes.py::test_weighted_loss_node_matches_the_reference_tape",),
         "a NumPy scalar's + may swap its operands, so a NaN's sign can differ"),
+    Mutant(
+        "entropy-with-a-hand-built-backward", ADAPT,
+        "    return Tensor._node(-(p.data * log_c).sum(axis=-1), (p,), grad)\n",
+        "    def backward(out):\n"
+        "        for path in grad(out.grad):\n"
+        "            p._accumulate(path)\n"
+        "\n"
+        "    return Tensor._result(-(p.data * log_c).sum(axis=-1), (p,), backward)\n",
+        ("tests/test_routing_guard.py::test_only_engine_routes_gradients_by_hand",),
+        "entropy wires its node by hand, past the one routing rule of"
+        " Tensor._node"),
     Mutant(
         "batch-variance-gradient-regrouped", NETS,
         "lambda g: (_unbroadcast(g * inv_n * d, h.shape),) * 2,",
@@ -131,7 +158,37 @@ MUTANTS = (
         ("tests/test_nets.py::TestQuantizedMLP::test_weight_cache_follows_in_place_writes",
          PROBE_CACHE + "test_every_q_forward_uses_its_current_weights"),
         "Q keeps quantized weights of the values before its step"),
+    Mutant(
+        "pretrain-without-the-loss-check", NETS,
+        '                raise NumericalError(f"non-finite pretraining loss: {loss.item()}")\n',
+        "                pass\n",
+        ("tests/test_nets.py::TestMLP::test_a_non_finite_step_loss_is_a_numerical_error",),
+        "pretraining steps on a non-finite loss"),
     # -- the game loop and its probe -------------------------------------------
+    Mutant(
+        "init-game-freezes-p", GAME,
+        '    it out of the graph."""\n',
+        '    it out of the graph."""\n'
+        "    for t in p.parameters():\n"
+        "        t.requires_grad = False\n",
+        ("tests/test_game.py::TestSteps::test_init_game_leaves_p_flags_as_given",
+         PROBE_WORKER + "test_p_is_handed_back_as_it_came"),
+        "a game clears P's flags for good, so a later pretrain_p trains nothing"),
+    Mutant(
+        "max-step-does-not-hold-p", GAME,
+        "    with frozen(state.p.parameters() + state.q.parameters()):\n",
+        "    with frozen(state.q.parameters()):\n",
+        ("tests/test_game.py::TestSpentGradients::test_steps_release_their_players_gradients",
+         PROBE_WORKER + "test_p_is_handed_back_as_it_came"),
+        "the max step builds P's graph and leaves it gradients that no step"
+        " spends"),
+    Mutant(
+        "min-step-without-the-loss-check", GAME,
+        '        raise NumericalError(f"non-finite calibration loss: {l_q.item()}")\n',
+        "        pass\n",
+        ("tests/test_game.py::TestSteps::"
+         "test_a_non_finite_calibration_loss_is_a_numerical_error",),
+        "Q steps on a non-finite calibration loss"),
     Mutant(
         "min-step-without-weights-moved", GAME,
         "    state.opt_q.step()\n"
@@ -179,8 +236,25 @@ MUTANTS = (
         "the worker probes Q with the quantized weights of before its copy"),
     Mutant(
         "loop-without-the-ack-read", GAME,
-        "        steps_next = self._requests % 3 != 2  # a player steps after this probe\n",
-        "        steps_next = False\n",
+        "        steps_again = self._requests >= 3 and self._requests % 3 != 2\n",
+        "        steps_again = False\n",
         (PROBE_WORKER + "test_a_worker_slow_to_copy_equals_a_plain_loop",),
         "the loop may step a player before the worker has copied it"),
+    Mutant(
+        "loop-packs-before-the-fork", GAME,
+        "            shared = [np.frombuffer(mmap.mmap(-1, opt._buf.nbytes)) for opt in opts]\n",
+        "            shared = [np.frombuffer(mmap.mmap(-1, opt._buf.nbytes)) for opt in opts]\n"
+        "            for opt, buf in zip(opts, shared):\n"
+        "                opt._pack(buf)\n",
+        (PROBE_WORKER + "test_equals_a_plain_loop",
+         PROBE_WORKER + "test_a_worker_slow_to_copy_equals_a_plain_loop"),
+        "the worker inherits the shared buffers, so it probes what the loop"
+        " is stepping instead of its copies"),
+    Mutant(
+        "close-leaves-the-pipe-open", GAME,
+        "        self._conn.close()\n"
+        "        return os.waitstatus_to_exitcode(",
+        "        return os.waitstatus_to_exitcode(",
+        (PROBE_WORKER + "test_no_file_descriptor_outlives_a_game",),
+        "the loop's end of the pipe outlives the game"),
 )

@@ -70,11 +70,9 @@ def agreement_distribution(lp: LogitsPair) -> Tensor:
     return softmax(lp.z_p + lp.z_q, axis=-1)
 
 
-def info_entropy(p) -> Tensor:
+def info_entropy(p: Tensor) -> Tensor:
     """Row-wise Shannon entropy in nats, with 0 * ln(1/0) taken as 0. One
     tape node."""
-    if not isinstance(p, Tensor):
-        p = Tensor(p)
     mask = p.data > _ENTROPY_FLOOR
     c = np.where(mask, p.data, _ENTROPY_FLOOR)
     log_c = np.log(c)

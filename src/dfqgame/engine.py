@@ -238,9 +238,7 @@ class Tensor:
                           lambda g: g * mask)
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return self._node(self.data.reshape(shape), (self,),
+        return self._node(self.data.reshape(*shape), (self,),
                           lambda g: g.reshape(self.shape))
 
     # -- reductions ----------------------------------------------------------
@@ -437,15 +435,17 @@ class _Packed:
 
     def __init__(self, params: list[Tensor]):
         self.params = params
-        self._buf = np.empty(sum(t.size for t in params))
-        self._pack()
+        size = sum(t.size for t in params)
+        self._tmp = np.empty((3, min(BLOCK, size)))
+        self._pack(np.empty(size))
 
-    def _pack(self) -> None:
-        """Copy the parameters into the buffer, which each `.data` then views."""
-        for t, view in zip(self.params, self._views(self._buf)):
+    def _pack(self, buf: np.ndarray) -> None:
+        """Copy the parameters into `buf`, which becomes the buffer that
+        each `.data` views."""
+        for t, view in zip(self.params, self._views(buf)):
             view[...] = t.data
             t.data = view
-        self._tmp = np.empty((3, min(BLOCK, self._buf.size)))
+        self._buf = buf
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a flat array in the packed layout."""
@@ -469,7 +469,7 @@ class _Packed:
         for t in self.params:
             t.grad = None  # spent; no gradient outlives its step
         if any(t.data.base is not self._buf for t in self.params):
-            self._pack()  # a rebinding or a deepcopy broke a view
+            self._pack(self._buf)  # a rebinding or a deepcopy broke a view
         tmp = self._tmp
 
         def block():

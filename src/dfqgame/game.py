@@ -103,8 +103,8 @@ class ProbeCache:
     """What a game's probes keep: how many have run (`count`), G's and P's
     forwards on the probe batch (`xz`) and the last R. Within a game only
     the two steps move what the probe reads: the max step writes G's
-    parameters, the min step Q's parameters; P is frozen and the probe
-    batch fixed. So the k-th probe (k from 0) reruns G's and P's forwards
+    parameters, the min step Q's parameters; P never steps and the probe
+    batch is fixed. So the k-th probe (k from 0) reruns G's and P's forwards
     only at k % 3 == 1 and R only at k % 3 != 0; probe 0 runs both, and
     every other returns the last R. By the same rule Q requantizes its
     weights only after its step, which calls `QuantizedMLP.weights_moved`
@@ -293,8 +293,8 @@ def draw_batch(rng, batch_size: int, noise_dim: int, class_count: int):
 
 
 def maximization_step(state: GameState, z: Tensor, y: Tensor) -> dict:
-    """One Adam step on the generator; Q is held bit-identical."""
-    with frozen(state.q.parameters()):
+    """One Adam step on the generator; P and Q are held bit-identical."""
+    with frozen(state.p.parameters() + state.q.parameters()):
         l_g, components = generator_loss(state.g, state.p, state.q, z, y, state.hp)
         l_g.backward()
         state.opt_g.step()
@@ -320,9 +320,9 @@ def minimization_step(state: GameState, z: Tensor, y: Tensor) -> float:
 
 def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
               rng) -> GameState:
-    """Freeze P, build optimizers, draw the fixed probe batch."""
-    for t in p.parameters():
-        t.requires_grad = False
+    """Build the optimizers of G and Q and draw the fixed probe batch. P's
+    flags are left as given: it never steps, and each step and probe holds
+    it out of the graph."""
     probe_z, probe_y = draw_batch(rng, PROBE_BATCH, g.spec.noise_dim,
                                   g.spec.class_count)
     return GameState(
@@ -381,28 +381,29 @@ class ProbeWorker:
     """A forked copy of the game that evaluates the probe while the loop
     steps, with `probe_game_value` and its own ProbeCache.
 
-    Before the fork, G's and Q's packed buffers (`_buf`) move into memory
-    shared with the worker, which probes private copies of them. A request
-    is one byte: from its cache's count the worker works out which player
-    stepped since the last request (see ProbeCache), copies that player's
-    buffer and acks the copy. Its acks, its first exception and the R
-    values travel on the one pipe. Before the loop steps a player it reads
-    the next message: an ack of that player's last copy lets it go on, so
-    it never writes a buffer the worker has yet to copy, and anything else
-    is the worker's exception, which stops the loop. The worker inherits
-    the warning filters and `np.errstate`, so it raises what an in-process
-    probe would; a warning that is not raised it keeps to itself.
+    The worker probes the copies of the players that the fork gave it;
+    after the fork the loop moves G's and Q's packed buffers (`_buf`) into
+    memory shared with the worker and steps them there. A request is one
+    byte: from its cache's count the worker works out which player stepped
+    since the last request (see ProbeCache), copies that player's shared
+    buffer into its own and acks the copy. Its acks, its first exception
+    and the R values travel on the one pipe. Before the loop steps a player
+    it has stepped before, it reads the next message: an ack of that
+    player's last copy lets it go on, so it never writes a buffer the
+    worker has yet to copy, and anything else is the worker's exception,
+    which stops the loop. The worker inherits the warning filters and
+    `np.errstate`, so it raises what an in-process probe would; a warning
+    that is not raised it keeps to itself.
     """
 
     def __init__(self, state: GameState):
         import mmap  # here: runs without a game never pay for these imports
         from multiprocessing import Pipe
 
+        opts = state.opt_g, state.opt_q
         self._conn, conn = Pipe()
         try:
-            for opt in (state.opt_g, state.opt_q):
-                opt._buf = np.frombuffer(mmap.mmap(-1, opt._buf.nbytes))
-                opt._pack()
+            shared = [np.frombuffer(mmap.mmap(-1, opt._buf.nbytes)) for opt in opts]
             self._pid = os.fork()
         except OSError:
             self._conn.close()
@@ -414,21 +415,24 @@ class ProbeWorker:
             code = 1
             try:
                 self._conn.close()
-                _serve_probes(state, conn)
+                _serve_probes(state, conn, shared)
                 code = 0
             finally:
                 os._exit(code)
         conn.close()
+        for opt, buf in zip(opts, shared):
+            opt._pack(buf)  # the loop steps the players in the shared buffers
         self._requests = 0
         self._error = None
 
     def request(self) -> None:
         """Queue a probe of the players as they are now."""
-        steps_next = self._requests % 3 != 2  # a player steps after this probe
+        # after this probe the loop steps a player it has stepped before
+        steps_again = self._requests >= 3 and self._requests % 3 != 2
         self._requests += 1
         try:
             self._conn.send_bytes(b"r")
-            if steps_next and (reply := self._conn.recv()) is not None:
+            if steps_again and (reply := self._conn.recv()) is not None:
                 self._error = reply  # not an ack: the worker raised
                 raise _ProbeStopped
         except (EOFError, OSError):  # the worker is gone
@@ -462,29 +466,23 @@ class ProbeWorker:
         return os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
 
 
-def _serve_probes(state: GameState, conn) -> None:
-    """The worker's loop: on b"r", copy the player that stepped, ack the
-    copy (None) and probe; on b"", send the R values. Its first exception
-    it sends at once, and it probes no more. It prints nothing; interrupts
-    are the loop's."""
+def _serve_probes(state: GameState, conn, shared: list) -> None:
+    """The worker's loop: on b"r", copy the player that stepped from its
+    `shared` buffer (G's, then Q's) into the buffer the fork gave this
+    process, ack the copy (None) and probe; on b"", send the R values. Its
+    first exception it sends at once, and it probes no more. It prints
+    nothing; interrupts are the loop's."""
     import signal
     import warnings
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     warnings.showwarning = lambda *args, **kwargs: None  # raised ones still raise
-    copies = []  # per player, (private, shared)
-    for opt in (state.opt_g, state.opt_q):
-        shared = opt._buf
-        opt._buf = np.empty_like(shared)
-        opt._pack()  # the worker's players view its private copies
-        copies.append((opt._buf, shared))
+    copies = [(opt._buf, buf) for opt, buf in zip((state.opt_g, state.opt_q), shared)]
     cache = ProbeCache()
     probe = (state.g, state.p, state.q, state.probe_z, state.probe_y, state.hp.tau,
              cache)
     values, failed = [], False
     try:
-        conn.send(None)  # the loop may step G
-        conn.send(None)  # and then Q
         while conn.recv_bytes():
             if failed:
                 continue

@@ -299,7 +299,8 @@ def one_hot(labels: np.ndarray, class_count: int) -> Tensor:
 
 def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
     """Mean cross-entropy of probability rows `p`, floored at 1e-12. One
-    tape node; the labels are constants."""
+    tape node; the labels are constants. For labels of p's shape the node
+    keeps the bits of the primitive tape."""
     y = Tensor._coerce(y_onehot)
     if y.requires_grad:
         raise ValueError("label_cross_entropy: labels must not require a gradient")
@@ -312,8 +313,6 @@ def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
 
     def grad(g):
         g = -g * inv_n
-        if prod.shape != c.shape:  # the labels broadcast p up: sum back down
-            return _unbroadcast(np.broadcast_to(g, prod.shape) * y.data, c.shape) / c * mask
         return g * y.data / c * mask
 
     return Tensor._node(-(rows.sum() * inv_n), (p,), grad)

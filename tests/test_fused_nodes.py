@@ -223,6 +223,29 @@ def test_batch_norm_node_matches_the_reference_tape(data):
     assert fused == run(build(ref_batch_norm), [x, gamma, beta])
 
 
+def test_batch_norm_negates_each_term_before_the_means_sum():
+    """In a constant column the mean's path into x is the one that makes a
+    NaN: upstream weights of 1e303 overflow x-hat's path to +inf and -inf,
+    whose sum is a NaN that the earlier paths, all finite, do not hide.
+    The node negates each term and then sums, as the sweep does, so that
+    NaN has the reference tape's sign."""
+    x = np.full((4, 1), 0.5)
+    w = np.array([[1e303], [-1e303], [1e303], [-1e303]])
+
+    def build(norm):
+        def loss(x, gamma, beta):
+            bn = BatchNorm(1)
+            bn.gamma, bn.beta = gamma, beta
+            out = norm(bn, x, "batch")
+            return (out * Tensor(w)).sum(), bits(out.data)
+        return loss
+
+    leaves = [(x, True, None), (np.ones(1), True, None), (np.zeros(1), True, None)]
+    fused = run(build(lambda bn, x, mode: bn(x, mode)), leaves)
+    assert np.isnan(np.frombuffer(fused[1][0][1])).all()
+    assert fused == run(build(ref_batch_norm), leaves)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):

@@ -277,11 +277,25 @@ class TestSteps:
             assert log.bg.bg == 0.0
             assert log.bg.delta_g == 0.0 and log.bg.delta_q == 0.0
 
-    def test_p_frozen_by_init_game(self, trained_setup):
+    def test_init_game_leaves_p_flags_as_given(self, trained_setup):
+        p = copy.deepcopy(trained_setup[0])
+        q, g = fresh_players(p)
+        params = p.parameters()
+        flags = [i % 2 == 0 for i in range(len(params))]
+        for t, flag in zip(params, flags):
+            t.requires_grad = flag
+        init_game(p, q, g, HyperParams(), seeded_rng(0))
+        assert [t.requires_grad for t in params] == flags
+
+    def test_a_non_finite_calibration_loss_is_a_numerical_error(self, trained_setup,
+                                                                 monkeypatch):
         p, _ = trained_setup
         q, g = fresh_players(p)
-        init_game(p, q, g, HyperParams(), seeded_rng(0))
-        assert not any(t.requires_grad for t in p.parameters())
+        state = init_game(p, q, g, HyperParams(), seeded_rng(0))
+        monkeypatch.setattr(game, "game_value", lambda lp, tau: Tensor(np.nan))
+        z, y = draw_batch(seeded_rng(1), 8, 5, 4)
+        with pytest.raises(NumericalError, match=r"^non-finite calibration loss: nan$"):
+            minimization_step(state, z, y)
 
 
 class TestSpentGradients:
@@ -300,9 +314,9 @@ class TestSpentGradients:
         state = init_game(p, q, g, HyperParams(), seeded_rng(0))
         z, y = draw_batch(seeded_rng(1), 8, 5, 4)
         maximization_step(state, z, y)
-        assert all(t.grad is None for t in g.parameters())
+        assert all(t.grad is None for t in g.parameters() + p.parameters())
         minimization_step(state, z, y)
-        assert all(t.grad is None for t in q.parameters())
+        assert all(t.grad is None for t in q.parameters() + p.parameters())
 
 
 class TestRequiresGradFlags:
@@ -743,6 +757,23 @@ class TestProbeWorker:
         assert logged == [r for r, _, _ in rows]
         for log in state.logs:
             assert log.bg.bg == log.bg.delta_g - log.bg.delta_q
+
+    def test_p_is_handed_back_as_it_came(self, trained_setup, probe_path):
+        """P never steps: after a game its flags are as they were given, its
+        arrays bit-identical and it holds no gradient, and it trains on."""
+        p = copy.deepcopy(trained_setup[0])
+        for t in p.parameters():
+            t.requires_grad = True  # as pretrain_p leaves it
+        before = [a.tobytes() for _, a in p.named_arrays()]
+        self._run(p, None)
+        assert all(t.requires_grad for t in p.parameters())
+        assert [a.tobytes() for _, a in p.named_arrays()] == before
+        assert all(t.grad is None for t in p.parameters())
+        spec = xp.DatasetSpec(class_count=4, input_dim=6, samples_per_class=20)
+        weight = p.parameters()[0]
+        played = weight.data.copy()
+        pretrain_p(p, *xp.synth_dataset(spec, 0), epochs=1, rng=seeded_rng(4))
+        assert not np.array_equal(weight.data, played)
 
     def test_the_returned_state_plays_on(self, trained_setup, probe_path):
         """A further play_iteration on run_game's state probes in this

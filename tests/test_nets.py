@@ -144,6 +144,15 @@ class TestMLP:
         with pytest.raises(ValueError):
             pretrain_p(p, tx, ty + 10, sx, sy, epochs=1)
 
+    def test_a_non_finite_step_loss_is_a_numerical_error(self, monkeypatch):
+        """The loss is checked at each step, before its backward."""
+        tx, ty, sx, sy = small_dataset()
+        p = MLP(SMALL, seeded_rng(3))
+        monkeypatch.setattr(nets, "cross_entropy", lambda logits, y: Tensor(np.nan))
+        with pytest.raises(nets.NumericalError,
+                           match=r"^non-finite pretraining loss: nan$"):
+            pretrain_p(p, tx, ty, sx, sy, epochs=1, rng=seeded_rng(4))
+
 
 class TestQuantizedMLP:
     def _trained_p(self):
