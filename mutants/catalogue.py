@@ -101,12 +101,27 @@ MUTANTS = (
         "batch norm negates the mean path's sum, not its terms: a NaN made by"
         " inf - inf gets the other sign"),
     Mutant(
+        "batch-norm-variance-negation-out-of-the-sum", ENGINE,
+        "            g_mu_sq = (-g_sq).sum(axis=0)\n",
+        "            g_mu_sq = -g_sq.sum(axis=0)\n",
+        ("tests/test_fused_nodes.py::"
+         "test_batch_norm_negates_each_term_before_the_variances_sum",),
+        "batch norm negates the variance path's sum, not its terms: a NaN made"
+        " by inf - inf gets the other sign"),
+    Mutant(
         "softmax-backward-summed-sequentially", ENGINE,
-        "        ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)\n",
-        "        ge += np.cumsum(-g * e / (s * s), axis=axis)[..., -1:]\n",
+        "        ge += (-g * e / (s * s)).sum(axis=-1, keepdims=True)\n",
+        "        ge += np.cumsum(-g * e / (s * s), axis=-1)[..., -1:]\n",
         ("tests/test_fused_nodes.py::"
          "test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape",),
         "softmax's backward sums a row sequentially, not pairwise"),
+    Mutant(
+        "softmax-negation-out-of-the-sum", ENGINE,
+        "        ge += (-g * e / (s * s)).sum(axis=-1, keepdims=True)\n",
+        "        ge += -(g * e / (s * s)).sum(axis=-1, keepdims=True)\n",
+        ("tests/test_fused_nodes.py::test_softmax_negates_each_term_before_the_rows_sum",),
+        "softmax negates its row sum, not its terms: a NaN made by inf - inf"
+        " gets the other sign"),
     Mutant(
         "weighted-loss-scalar-plus", GAME,
         "    l_g = np.add(np.add(np.add(l_ds.data * on_ds, l_as.data * on_as) * hp.alpha,\n"
@@ -132,7 +147,21 @@ MUTANTS = (
         "lambda g: (_unbroadcast(g * (inv_n * d), h.shape),) * 2,",
         ("tests/test_fused_nodes.py::test_batch_variance_node_matches_the_reference_tape",),
         "the variance tap's gradient into h rounds in another order"),
+    Mutant(
+        "sgd-without-the-momentum-term", ENGINE,
+        "            d += np.multiply(vel, mu, out=a)\n",
+        "",
+        ("tests/test_engine.py::TestOptimizers::test_nesterov_two_steps_match_closed_form",
+         "tests/test_engine.py::TestOptimizersMatchReference::test_nesterov"),
+        "Q's step keeps a velocity but never adds it: plain SGD"),
     # -- players and checkpoints -----------------------------------------------
+    Mutant(
+        "q-skips-activation-quantization", NETS,
+        "        return fake_quantize(h, self.cfg.bits) @ self._fq_weight(aff.weight) + aff.bias\n",
+        "        return h @ self._fq_weight(aff.weight) + aff.bias\n",
+        ("tests/test_nets.py::TestQuantizedMLP::"
+         "test_forward_quantizes_each_affine_input_and_weight",),
+        "Q quantizes its weights but multiplies full-precision activations"),
     Mutant(
         "generator-in-train-mode", NETS,
         '        return self.head(self._hidden(z + y @ self.embedding, "batch"))\n',
@@ -206,12 +235,29 @@ MUTANTS = (
         " every forward, and a worker gets no requests"),
     Mutant(
         "state-keeps-the-finished-worker", GAME,
-        "        state.probe_cache = ProbeCache()  # a state handed out probes in-process\n",
+        "    state.probe_cache = ProbeCache()  # also after an error mid-iteration\n",
         "",
         (PROBE_WORKER + "test_the_returned_state_plays_on",
          PROBE_WORKER + "test_the_state_of_an_error_plays_on"),
         "run_game hands out a state whose probe source is the closed worker,"
         " so a further play_iteration cannot probe"),
+    Mutant(
+        "cache-reset-only-after-the-worker", GAME,
+        "            log.bg = balance_gap(*values[3 * i:3 * i + 3])\n"
+        "    state.probe_cache = ProbeCache()  # also after an error mid-iteration\n",
+        "            log.bg = balance_gap(*values[3 * i:3 * i + 3])\n"
+        "        state.probe_cache = ProbeCache()\n",
+        (PROBE_WORKER + "test_the_state_of_an_error_plays_on_from_a_fresh_cache",),
+        "after an in-process error mid-iteration, err.state keeps a cache whose"
+        " count is out of step, so its next iteration reuses stale forwards"),
+    Mutant(
+        "run-game-drops-another-exception", GAME,
+        "    if error is not None:\n"
+        "        raise error\n",
+        "",
+        (PROBE_WORKER + "test_another_exception_is_raised_as_it_came",),
+        "an exception other than a NumericalError ends the game silently,"
+        " and run_game returns its state"),
     Mutant(
         "probe-reruns-g-and-p-at-the-wrong-place", GAME,
         "            if place == 1:\n",
@@ -240,6 +286,15 @@ MUTANTS = (
         "        steps_again = False\n",
         (PROBE_WORKER + "test_a_worker_slow_to_copy_equals_a_plain_loop",),
         "the loop may step a player before the worker has copied it"),
+    Mutant(
+        "finish-drops-an-unread-error", GAME,
+        "                if reply is not None:  # not an ack\n"
+        "                    self._error = reply\n",
+        "                pass\n",
+        (PROBE_WORKER + "test_a_probe_failure_equals_a_plain_loop[worker-35]",
+         PROBE_WORKER + "test_a_probe_failure_equals_a_plain_loop[worker-36]"),
+        "an error of the game's last probes, which no request read, is"
+        " dropped: the game returns as if every probe had run"),
     Mutant(
         "loop-packs-before-the-fork", GAME,
         "            shared = [np.frombuffer(mmap.mmap(-1, opt._buf.nbytes)) for opt in opts]\n",

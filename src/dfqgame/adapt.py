@@ -31,10 +31,6 @@ class LogitsPair:
     z_q: Tensor
 
     def __post_init__(self):
-        if not isinstance(self.z_p, Tensor):
-            self.z_p = Tensor(self.z_p)
-        if not isinstance(self.z_q, Tensor):
-            self.z_q = Tensor(self.z_q)
         if self.z_p.shape != self.z_q.shape:
             raise ValueError(
                 f"logits shapes differ: {self.z_p.shape} vs {self.z_q.shape}")
@@ -62,12 +58,12 @@ class BalanceGapRecord:
 
 def disagreement_distribution(lp: LogitsPair) -> Tensor:
     """softmax(z_p - z_q) row-wise."""
-    return softmax(lp.z_p - lp.z_q, axis=-1)
+    return softmax(lp.z_p - lp.z_q)
 
 
 def agreement_distribution(lp: LogitsPair) -> Tensor:
     """softmax(z_p + z_q) row-wise."""
-    return softmax(lp.z_p + lp.z_q, axis=-1)
+    return softmax(lp.z_p + lp.z_q)
 
 
 def info_entropy(p: Tensor) -> Tensor:
@@ -98,14 +94,13 @@ def normalize_entropy(h_info: Tensor, class_count: int,
     return (h_info - batch_min) * (1.0 / denom), batch_min
 
 
-def game_value(lp: LogitsPair, tau: float = 1.0,
-               batch_min: float | None = None) -> Tensor:
+def game_value(lp: LogitsPair, tau: float = 1.0) -> Tensor:
     """Monte-Carlo game value: mean over the batch of 1 - H', with the
     disagreement distribution softened by temperature `tau`. At the
     configured tau this is Q's calibration loss."""
-    p_ds = softmax(lp.z_p - lp.z_q, axis=-1, temperature=tau)
+    p_ds = softmax(lp.z_p - lp.z_q, temperature=tau)
     h_info = info_entropy(p_ds)
-    h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
+    h_norm, _ = normalize_entropy(h_info, lp.class_count)
     return 1.0 - h_norm.mean()
 
 

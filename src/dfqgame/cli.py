@@ -132,19 +132,13 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as e:  # OSError: out_dir cannot be made
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    # looked up when it runs, so a command replaced on the module is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
-        if args.command == "quantize-eval":
-            return cmd_quantize_eval(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
+        return command(cfg)
     except NumericalError as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -251,17 +251,17 @@ class Tensor:
 
         return self._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """sum(...) * (1 / n) as one tape node."""
+    def mean(self, axis=None) -> "Tensor":
+        """sum(axis) * (1 / n) as one tape node."""
         inv_n = 1.0 / (self.size if axis is None else self.shape[axis])
 
         def grad(g):
             g = g * inv_n
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             return np.broadcast_to(g, self.shape)
 
-        return self._node(self.data.sum(axis=axis, keepdims=keepdims) * inv_n, (self,), grad)
+        return self._node(self.data.sum(axis=axis) * inv_n, (self,), grad)
 
     # -- backward ------------------------------------------------------------
 
@@ -323,8 +323,9 @@ def frozen(params: list[Tensor]):
 # -- functional layer primitives ----------------------------------------------
 
 
-def softmax(z: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    """Row-wise softmax with max-subtraction; temperature divides the logits.
+def softmax(z: Tensor, temperature: float = 1.0) -> Tensor:
+    """Softmax over the last axis with max-subtraction; temperature divides
+    the logits.
 
     The per-row max is a stop-gradient constant, which is exact because
     softmax is invariant under per-row shifts. One tape node.
@@ -333,12 +334,12 @@ def softmax(z: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
     inv_t = 1.0 / temperature
     t = z.data * inv_t
-    e = np.exp(t - t.max(axis=axis, keepdims=True))
-    s = e.sum(axis=axis, keepdims=True)
+    e = np.exp(t - t.max(axis=-1, keepdims=True))
+    s = e.sum(axis=-1, keepdims=True)
 
     def grad(g):
         ge = g / s
-        ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
+        ge += (-g * e / (s * s)).sum(axis=-1, keepdims=True)
         return ge * e * inv_t
 
     return Tensor._node(e / s, (z,), grad)
@@ -538,29 +539,28 @@ class AdamState(_Packed):
 class SgdNesterovState(_Packed):
     """SGD with Nesterov momentum and decoupled-into-gradient weight decay."""
 
-    def __init__(self, params: list[Tensor], lr: float,
-                 momentum: float = 0.9, weight_decay: float = 1e-4):
+    MOMENTUM = 0.9
+    WEIGHT_DECAY = 1e-4
+
+    def __init__(self, params: list[Tensor], lr: float):
         super().__init__(params)
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = np.zeros_like(self._buf)
 
     velocity = property(lambda self: self._views(self._velocity))
 
     def step(self) -> None:
-        mu = self.momentum
+        mu = self.MOMENTUM
         for s, g, d, a in self._blocks("sgd_nesterov_step", missing_is_zero=True):
             # In place, with the operations and their order of
             # d = wd*p + g; vel = mu*vel + d; d = d + mu*vel; p -= lr*d.
             p = self._buf[s]
-            np.multiply(p, self.weight_decay, out=d)
+            np.multiply(p, self.WEIGHT_DECAY, out=d)
             d += g
-            if mu != 0.0:
-                vel = self._velocity[s]
-                vel *= mu
-                vel += d
-                d += np.multiply(vel, mu, out=a)
+            vel = self._velocity[s]
+            vel *= mu
+            vel += d
+            d += np.multiply(vel, mu, out=a)
             d *= self.lr
             p -= d
 

@@ -220,7 +220,7 @@ def weighted_loss(l_ds: Tensor, l_as: Tensor, l_b: Tensor, l_bns: Tensor,
 
 
 def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
-                   hp: HyperParams, batch_min: float | None = None):
+                   hp: HyperParams):
     """Composite maximization objective; returns (loss, components dict).
 
     The gradient path reaches only the generator: P's weights are fixed
@@ -232,7 +232,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     p_ds = disagreement_distribution(lp)
     p_as = agreement_distribution(lp)
     h_info = info_entropy(p_ds)
-    h_norm, _ = normalize_entropy(h_info, lp.class_count, batch_min)
+    h_norm, _ = normalize_entropy(h_info, lp.class_count)
 
     l_ds = loss_ds(p_ds, y)
     l_as = loss_as(p_as, y)
@@ -328,8 +328,7 @@ def init_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams,
     return GameState(
         p=p, q=q, g=g, hp=hp,
         opt_g=AdamState(g.parameters(), lr=hp.lr_g),
-        opt_q=SgdNesterovState(q.parameters(), lr=hp.lr_q,
-                               momentum=0.9, weight_decay=1e-4),
+        opt_q=SgdNesterovState(q.parameters(), lr=hp.lr_q),
         probe_z=probe_z, probe_y=probe_y,
     )
 
@@ -508,16 +507,15 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
     eval_data: optional (x, labels) held-out arrays; Q accuracy is logged
     every `eval_period` epochs (and on the final iteration). A
     NumericalError names the epoch and iteration it was raised in, and
-    carries the game state as `state`.
+    carries the game state as `state`. Either state holds a fresh
+    ProbeCache, so a further iteration probes in-process from its start.
 
     Where a worker fits (`_worker_fits`), can be started and the game has
     an iteration, a ProbeWorker, as `state.probe_cache`, evaluates the
     probes while this process steps, and each log's balance gap is filled
-    in from its values at the end, when a fresh ProbeCache replaces it (the
-    first probe of a further iteration runs every forward). Of the
-    exceptions raised, the first in the in-process order (probe before, max
-    step, probe between, min step, probe after) is raised, with the logs of
-    the iterations before it.
+    in from its values at the end. Of the exceptions raised, the first in
+    the in-process order (probe before, max step, probe between, min step,
+    probe after) is raised, with the logs of the iterations before it.
     When that was a probe's, the players in `err.state` may be past those
     logs, usually by one iteration: the loop learns of it at a later probe
     request.
@@ -554,12 +552,12 @@ def run_game(p: MLP, q: QuantizedMLP, g: Generator, hp: HyperParams, rng,
         raise
     if worker is not None:
         values, probe_error = worker.finish()
-        state.probe_cache = ProbeCache()  # a state handed out probes in-process
         if probe_error is not None:
             del state.logs[len(values) // 3:]
             error = probe_error
         for i, log in enumerate(state.logs):
             log.bg = balance_gap(*values[3 * i:3 * i + 3])
+    state.probe_cache = ProbeCache()  # also after an error mid-iteration
     if isinstance(error, NumericalError):
         epoch, it = divmod(len(state.logs), hp.iters_per_epoch)
         err = NumericalError(f"epoch {epoch}, iteration {it}: {error}")

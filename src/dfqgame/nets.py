@@ -203,18 +203,15 @@ class MLP(_BlockStack):
 class QuantizedMLP(_BlockStack):
     """Q: shares P's architecture; weights and activations fake-quantized
     in the forward pass, BN always in eval mode on P's running stats.
-
-    cfg=None disables quantization entirely (exact copy of P's math),
-    which the gradient test harness uses to check everything around the
-    straight-through estimator.
+    Built from P by `init_q_from_p`.
 
     Each weight is fake-quantized once and kept until `weights_moved`
     drops the kept copies: whatever writes Q's weights after its first
     forward calls it (in a game, Q's own step; see game.ProbeCache).
     """
 
-    def __init__(self, spec: NetworkSpec, cfg: QuantConfig | None, rng=None):
-        super().__init__(spec, spec.input_dim, spec.class_count, rng)
+    def __init__(self, spec: NetworkSpec, cfg: QuantConfig):
+        super().__init__(spec, spec.input_dim, spec.class_count)
         self.cfg = cfg
         self.weights_moved()
 
@@ -222,15 +219,8 @@ class QuantizedMLP(_BlockStack):
         """Drop the kept quantized weights; the next forward requantizes."""
         self._weights_q = {}  # weight Tensor -> its quantized array
 
-    def _fq(self, t: Tensor) -> Tensor:
-        if self.cfg is None:
-            return t
-        return fake_quantize(t, self.cfg.bits)
-
     def _fq_weight(self, w: Tensor) -> Tensor:
         """fake_quantize(w), kept until `weights_moved`."""
-        if self.cfg is None:
-            return w
         out = self._weights_q.get(w)
         if out is None:
             with frozen([w]):  # no graph: the node below is built on every call
@@ -241,7 +231,7 @@ class QuantizedMLP(_BlockStack):
         return Tensor._node(out, (w,), lambda g: g)
 
     def _affine(self, aff: Affine, h: Tensor) -> Tensor:
-        return self._fq(h) @ self._fq_weight(aff.weight) + aff.bias
+        return fake_quantize(h, self.cfg.bits) @ self._fq_weight(aff.weight) + aff.bias
 
     def forward(self, x: Tensor) -> Tensor:
         """Logits, with batch norm on P's frozen statistics."""
@@ -319,7 +309,7 @@ def label_cross_entropy(p: Tensor, y_onehot: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, y_onehot: Tensor) -> Tensor:
-    return label_cross_entropy(softmax(logits, axis=-1), y_onehot)
+    return label_cross_entropy(softmax(logits), y_onehot)
 
 
 def accuracy(net, x: np.ndarray, labels: np.ndarray) -> float:
@@ -360,7 +350,7 @@ def pretrain_p(p: MLP, train_x, train_y, test_x, test_y,
     return accuracy(p, test_x, test_y)
 
 
-def init_q_from_p(p: MLP, cfg: QuantConfig | None) -> QuantizedMLP:
+def init_q_from_p(p: MLP, cfg: QuantConfig) -> QuantizedMLP:
     """Quantized copy of P: weights/activations fake-quantized, BN running
     stats copied and frozen, BN affine parameters trainable."""
     q = QuantizedMLP(p.spec, cfg)
@@ -392,11 +382,10 @@ def _header(net) -> dict:
     kind = next((k for k, (cls, _) in _KINDS.items() if type(net) is cls), None)
     if kind is None:
         raise TypeError(f"cannot checkpoint {type(net).__name__}")
-    cfg = getattr(net, "cfg", None)
     return {
         "kind": kind,
         "spec": net.spec.__dict__ | {},
-        "quant_bits": None if cfg is None else cfg.bits,
+        "quant_bits": net.cfg.bits if kind == "quantized_mlp" else None,
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in net.named_arrays()],
     }
 
@@ -444,8 +433,7 @@ def load_checkpoint(path):
         if len(raw) != 16 + hlen + 8 * _value_count(cls, spec):
             raise CheckpointError("file length does not match its header")
         if cls is QuantizedMLP:
-            bits = header["quant_bits"]
-            net = cls(spec, None if bits is None else QuantConfig(bits=bits))
+            net = cls(spec, QuantConfig(bits=header["quant_bits"]))
         else:
             net = cls(spec)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:

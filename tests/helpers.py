@@ -3,6 +3,7 @@ pipeline reaches them."""
 
 import copy
 
+from dfqgame import nets
 from dfqgame.engine import Tensor
 from dfqgame.game import draw_batch, init_game, play_iteration
 from dfqgame.nets import BNStatsRecord, MLP
@@ -38,3 +39,10 @@ def adaptability_vector(p_ds: Tensor, h: Tensor) -> Tensor:
     """H_C = (p_ds / ||p_ds||_2) * H per row."""
     norm = (p_ds * p_ds).sum(axis=-1, keepdims=True).sqrt()
     return (p_ds / norm) * h.reshape(-1, 1)
+
+
+def without_quantization(monkeypatch) -> None:
+    """Q's fake quantization replaced by a straight-through identity, so Q
+    computes P's forward and gradients: for the tests that check what
+    surrounds the quantizer."""
+    monkeypatch.setattr(nets, "fake_quantize", lambda t, bits: t * 1.0)

@@ -10,12 +10,13 @@ import json
 import math
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dfqgame import game, nets, xp
+from dfqgame import adapt, game, nets, xp
 from dfqgame.adapt import (
     LogitsPair,
     agreement_distribution,
@@ -44,7 +45,8 @@ from dfqgame.nets import (
     one_hot,
 )
 from dfqgame.quant import QuantConfig, dequantize, quantize
-from helpers import adaptability_vector, bg_halving_trial, collect_generated_bns
+from helpers import (adaptability_vector, bg_halving_trial, collect_generated_bns,
+                     without_quantization)
 
 
 def verdict(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -119,7 +121,7 @@ def test_criterion_1_math_oracles(capsys):
         tau = float(rng.uniform(0.5, 2.0))
         lam_l = float(rng.uniform(0.05, 0.4))
         lam_u = float(rng.uniform(0.6, 0.95))
-        lp = LogitsPair(z_p, z_q)
+        lp = LogitsPair(Tensor(z_p), Tensor(z_q))
         y = one_hot(labels, classes)
 
         p_ds = disagreement_distribution(lp)
@@ -227,8 +229,9 @@ def _fd_check(loss_fn, params, rng, h=1e-5, count=5, floor=1e-5):
     return worst
 
 
-def test_criterion_2_gradient_suite(capsys):
+def test_criterion_2_gradient_suite(capsys, monkeypatch):
     t0 = time.time()
+    without_quantization(monkeypatch)  # STE is not FD-checkable; bypass it
     p_spec = NetworkSpec(input_dim=5, hidden=(6, 6), class_count=4)
     g_spec = GeneratorSpec(noise_dim=4, hidden=(6, 6), output_dim=5,
                            class_count=4)
@@ -239,7 +242,7 @@ def test_criterion_2_gradient_suite(capsys):
         for _, bn in p.blocks:
             bn.running_mean = rng.standard_normal(bn.width) * 0.2
             bn.running_var = rng.uniform(0.5, 1.5, bn.width)
-        q = init_q_from_p(p, None)  # STE is not FD-checkable; bypass it
+        q = init_q_from_p(p, QuantConfig(3))
         for t in q.parameters():
             # an exact copy of P pins p_ds at the entropy maximum where
             # gradients vanish; jitter Q so the losses are informative
@@ -257,7 +260,8 @@ def test_criterion_2_gradient_suite(capsys):
                               q.forward(x)), x
 
         # pin the stop-gradient constants at their unperturbed values so the
-        # finite differences probe exactly the function being differentiated
+        # finite differences probe exactly the function being differentiated;
+        # a loss that calls normalize_entropy gets it with the minimum pinned
         lp0, _ = pair()
         h0 = info_entropy(disagreement_distribution(lp0))
         bm = float(h0.data.min())
@@ -287,7 +291,10 @@ def test_criterion_2_gradient_suite(capsys):
             return loss_bns(collect_generated_bns(p, g.forward(z, y)))
 
         def eval_l_g():
-            return generator_loss(g, p, q, z, y, hp, batch_min=bm)[0]
+            with monkeypatch.context() as m:
+                m.setattr(game, "normalize_entropy",
+                          partial(normalize_entropy, batch_min=bm))
+                return generator_loss(g, p, q, z, y, hp)[0]
 
         x_fixed = Tensor(g.forward(z, y).data.copy())
         z_p_fixed = Tensor(p.forward(x_fixed, mode="eval").data.copy())
@@ -297,8 +304,12 @@ def test_criterion_2_gradient_suite(capsys):
         bm_q = float(hq.data.min())
 
         def eval_l_q():
+            q.weights_moved()  # _fd_check writes Q's weights in place
             lp = LogitsPair(z_p_fixed, q.forward(x_fixed))
-            return game_value(lp, tau, batch_min=bm_q)
+            with monkeypatch.context() as m:
+                m.setattr(adapt, "normalize_entropy",
+                          partial(normalize_entropy, batch_min=bm_q))
+                return game_value(lp, tau)
 
         g_params = g.parameters()
         q_params = q.parameters()

@@ -602,37 +602,42 @@ class TestOptimizers:
             opt.step()
         assert abs(w.data[0]) < 0.1
 
-    def test_nesterov_zero_momentum_is_sgd(self):
+    def test_nesterov_zero_momentum_is_sgd(self, monkeypatch):
+        monkeypatch.setattr(SgdNesterovState, "MOMENTUM", 0.0)
+        monkeypatch.setattr(SgdNesterovState, "WEIGHT_DECAY", 0.0)
         w = Tensor([2.0], requires_grad=True)
-        opt = SgdNesterovState([w], lr=0.1, momentum=0.0, weight_decay=0.0)
+        opt = SgdNesterovState([w], lr=0.1)
         w.grad = np.array([1.0])
         opt.step()
         assert w.data[0] == pytest.approx(1.9)
 
     def test_nesterov_null_update(self):
-        w = Tensor([2.0], requires_grad=True)
-        opt = SgdNesterovState([w], lr=0.1, momentum=0.9, weight_decay=0.0)
+        w = Tensor([0.0], requires_grad=True)  # decays by nothing
+        opt = SgdNesterovState([w], lr=0.1)
         w.grad = np.zeros(1)
         opt.step()
-        assert w.data[0] == pytest.approx(2.0)
+        assert w.data[0] == 0.0
 
     def test_weight_decay_shrinks_norm(self):
         w = Tensor([2.0, -3.0], requires_grad=True)
-        opt = SgdNesterovState([w], lr=0.1, momentum=0.0, weight_decay=0.5)
+        opt = SgdNesterovState([w], lr=0.1)
         w.grad = np.zeros(2)
         before = np.linalg.norm(w.data)
         opt.step()
         assert np.linalg.norm(w.data) < before
 
     def test_nesterov_two_steps_match_closed_form(self):
-        # velocity recursion: v1 = g, step1 = g + mu*v1; v2 = mu*v1 + g,
-        # step2 = g + mu*v2 (constant gradient g, no decay)
+        # velocity recursion with d = g + wd*w: v1 = d1, step1 = d1 + mu*v1;
+        # v2 = mu*v1 + d2, step2 = d2 + mu*v2 (constant gradient g = 1)
+        mu, wd = SgdNesterovState.MOMENTUM, SgdNesterovState.WEIGHT_DECAY
         w = Tensor([0.0], requires_grad=True)
-        opt = SgdNesterovState([w], lr=1.0, momentum=0.5, weight_decay=0.0)
+        opt = SgdNesterovState([w], lr=1.0)
         for _ in range(2):
             w.grad = np.array([1.0])
             opt.step()
-        expected = -((1 + 0.5) + (1 + 0.5 * 1.5))
+        w1 = -(1 + mu)
+        d2 = 1 + wd * w1
+        expected = w1 - (d2 + mu * (mu + d2))
         assert w.data[0] == pytest.approx(expected)
 
     def test_grad_shape_mismatch_rejected(self):
@@ -657,15 +662,15 @@ def reference_adam_step(data, m, v, grads, t, lr):
         data[i] -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def reference_nesterov_step(data, velocity, grads, lr, mu, weight_decay):
+def reference_nesterov_step(data, velocity, grads, lr):
     """SgdNesterovState.step written out of place: the reference for its bits."""
+    mu, weight_decay = SgdNesterovState.MOMENTUM, SgdNesterovState.WEIGHT_DECAY
     for i, g in enumerate(grads):
         if g is None:
             g = np.zeros_like(data[i])
         d = g + weight_decay * data[i]
-        if mu != 0.0:
-            velocity[i] = mu * velocity[i] + d
-            d = d + mu * velocity[i]
+        velocity[i] = mu * velocity[i] + d
+        d = d + mu * velocity[i]
         data[i] -= lr * d
 
 
@@ -712,10 +717,13 @@ class TestOptimizersMatchReference:
 
     @pytest.mark.parametrize("mu, weight_decay",
                              [(0.9, 1e-4), (0.0, 1e-4), (0.9, 0.0), (0.0, 0.0)])
-    def test_nesterov(self, mu, weight_decay):
+    def test_nesterov(self, monkeypatch, mu, weight_decay):
+        """At the class constants, and with either one zero: a zero term
+        still runs through every in-place operation."""
+        monkeypatch.setattr(SgdNesterovState, "MOMENTUM", mu)
+        monkeypatch.setattr(SgdNesterovState, "WEIGHT_DECAY", weight_decay)
         params = self._params()
-        opt = SgdNesterovState(params, lr=0.05, momentum=mu,
-                               weight_decay=weight_decay)
+        opt = SgdNesterovState(params, lr=0.05)
         data = [t.data.copy() for t in params]
         velocity = [np.zeros_like(d) for d in data]
         rng = seeded_rng(7)
@@ -724,7 +732,7 @@ class TestOptimizersMatchReference:
             for t, g in zip(params, grads):
                 t.grad = g
             opt.step()
-            reference_nesterov_step(data, velocity, grads, 0.05, mu, weight_decay)
+            reference_nesterov_step(data, velocity, grads, 0.05)
             self._assert_bitwise([t.data for t in params], data)
             self._assert_bitwise(opt.velocity, velocity)
 

@@ -17,13 +17,14 @@ from dfqgame.game import (HyperParams, draw_batch, generator_loss, init_game,
                           maximization_step, minimization_step)
 from dfqgame.nets import Generator, GeneratorSpec, NetworkSpec, init_q_from_p
 from dfqgame.quant import QuantConfig
+from helpers import without_quantization
 
 # -- the reference tape: the fused ops composed from primitive nodes -------------
 
 
-def ref_mean(t, axis=None, keepdims=False):
+def ref_mean(t, axis=None):
     n = t.size if axis is None else t.shape[axis]
-    return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    return t.sum(axis=axis) * (1.0 / n)
 
 
 def ref_batch_variance(h, mu):
@@ -51,13 +52,13 @@ def ref_weighted_loss(l_ds, l_as, l_b, l_bns, hp):
             + hp.beta * on["L_b"] * l_b + hp.gamma * on["L_BNS"] * l_bns)
 
 
-def ref_softmax(z, axis=-1, temperature=1.0):
+def ref_softmax(z, temperature=1.0):
     if temperature <= 0.0:
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
     t = z * (1.0 / temperature)
-    shift = Tensor(t.data.max(axis=axis, keepdims=True))
+    shift = Tensor(t.data.max(axis=-1, keepdims=True))
     e = (t - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def ref_batch_norm(bn, x, mode):
@@ -246,6 +247,31 @@ def test_batch_norm_negates_each_term_before_the_means_sum():
     assert fused == run(build(ref_batch_norm), leaves)
 
 
+def test_batch_norm_negates_each_term_before_the_variances_sum():
+    """The variance's paths into x overflow, the mean's sum of them makes
+    the NaN: x of magnitude 1e150 and upstream weights of 1e160, signed as
+    x - mu, overflow g * d to -inf in every row while g / std stays finite,
+    so the variance's gradient is -inf and its path into x is +inf or -inf
+    by the sign of x - mu, which the mean's path sums to a NaN. The node
+    negates each term and then sums, as the sweep does, so that NaN has the
+    reference tape's sign."""
+    x = np.array([[1e150], [-1e150], [3e150], [-3e150]])
+    w = np.sign(x) * 1e160
+
+    def build(norm):
+        def loss(x, gamma, beta):
+            bn = BatchNorm(1)
+            bn.gamma, bn.beta = gamma, beta
+            out = norm(bn, x, "batch")
+            return (out * Tensor(w)).sum(), bits(out.data)
+        return loss
+
+    leaves = [(x, True, None), (np.ones(1), True, None), (np.zeros(1), True, None)]
+    fused = run(build(lambda bn, x, mode: bn(x, mode)), leaves)
+    assert np.isnan(np.frombuffer(fused[1][0][1])).all()
+    assert fused == run(build(ref_batch_norm), leaves)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
@@ -263,7 +289,7 @@ def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
 
     def build(softmax, cross_entropy, entropy):
         def loss(z):
-            p = softmax(z, axis=-1, temperature=tau)
+            p = softmax(z, temperature=tau)
             l_ce = cross_entropy(p, Tensor(y))
             h = entropy(p)
             h_norm, _ = normalize_entropy(h, classes, batch_min)
@@ -273,6 +299,25 @@ def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
 
     fused = run(build(engine.softmax, nets.label_cross_entropy, adapt.info_entropy), [z])
     assert fused == run(build(ref_softmax, ref_label_cross_entropy, ref_info_entropy), [z])
+
+
+def test_softmax_negates_each_term_before_the_rows_sum():
+    """Upstream weights of +-1e303, scaled by 1e10 after the sum, overflow
+    the gradient into p to +inf and -inf in one row, so the row's sum in
+    the backward is inf - inf. The node negates each term and then sums,
+    as the sweep does, so that NaN has the reference tape's sign."""
+    z = np.zeros((2, 3))
+    w = np.array([[1e303, -1e303, 0.5], [0.5, 0.25, 1.0]])
+
+    def build(softmax):
+        def loss(z):
+            p = softmax(z)
+            return (p * Tensor(w)).sum() * 1e10, bits(p.data)
+        return loss
+
+    fused = run(build(engine.softmax), [(z, True, None)])
+    assert np.isnan(np.frombuffer(fused[1][0][1])[:3]).all()
+    assert fused == run(build(ref_softmax), [(z, True, None)])
 
 
 # The shapes that the game's losses meet, and small ones: (16, 64) taps, (64,)
@@ -287,14 +332,13 @@ def test_mean_node_matches_the_reference_tape(data):
     draw = data.draw
     shape = draw(SHAPES)
     axis = draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
-    keepdims = draw(FLAG)
     x = any_leaf(draw, array(draw, shape))
-    w = weights(draw, np.zeros(shape).sum(axis=axis, keepdims=keepdims).shape)
+    w = weights(draw, np.zeros(shape).sum(axis=axis).shape)
     w_x = weights(draw, shape)  # a second consumer of x
 
     def build(mean):
         def loss(x):
-            out = mean(x, axis=axis, keepdims=keepdims)
+            out = mean(x, axis=axis)
             return (out * Tensor(w)).sum() + (x * Tensor(w_x)).sum(), bits(out.data)
         return loss
 
@@ -455,6 +499,10 @@ def player_gradients(cfg, mode, hp=None):
 @pytest.mark.parametrize("cfg", [QuantConfig(3), None])
 @pytest.mark.parametrize("mode", ["train", "batch", "eval"])
 def test_players_get_the_reference_tapes_gradients(monkeypatch, cfg, mode):
+    """cfg None: Q's quantizer is a straight-through identity."""
+    if cfg is None:
+        without_quantization(monkeypatch)
+        cfg = QuantConfig(3)
     fused = player_gradients(cfg, mode)
     use_reference_tape(monkeypatch)
     assert fused == player_gradients(cfg, mode)

@@ -199,14 +199,15 @@ class TestCalibrationLoss:
     def test_tau_one_equals_game_value(self, trained_setup):
         p, _ = trained_setup
         rng = seeded_rng(5)
-        lp = LogitsPair(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
+        lp = LogitsPair(Tensor(rng.standard_normal((8, 4))),
+                        Tensor(rng.standard_normal((8, 4))))
         assert game_value(lp, tau=1.0).item() == pytest.approx(
             game_value(lp).item(), abs=1e-12)
 
     def test_temperature_softens_distribution(self):
         rng = seeded_rng(6)
-        lp = LogitsPair(rng.standard_normal((8, 4)) * 5,
-                        rng.standard_normal((8, 4)) * 5)
+        lp = LogitsPair(Tensor(rng.standard_normal((8, 4)) * 5),
+                        Tensor(rng.standard_normal((8, 4)) * 5))
         p_hot = softmax(lp.z_p - lp.z_q, temperature=10.0).data
         p_cold = softmax(lp.z_p - lp.z_q, temperature=0.5).data
         assert p_hot.max() < p_cold.max()
@@ -635,6 +636,19 @@ def fail_on_r_evaluation(monkeypatch, k):
     monkeypatch.setattr(game, "probe_game_value", failing)
 
 
+def fail_on_step(monkeypatch, name, k, error):
+    """Make the k-th call of `game.<name>` raise `error` before it steps."""
+    step, calls = getattr(game, name), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == k:
+            raise error
+        return step(*args)
+
+    monkeypatch.setattr(game, name, failing)
+
+
 def logs_and_players(state):
     return ([repr(astuple(log)) for log in state.logs],
             [a.tobytes() for _, a in state.g.named_arrays() + state.q.named_arrays()])
@@ -797,9 +811,44 @@ class TestProbeWorker:
         batches = [draw_batch(seeded_rng(1), self.HP.batch_size, 5, 4) for _ in range(2)]
         assert math.isfinite(play_iteration(state, *batches).bg.bg)
 
+    @pytest.mark.parametrize("failure", ["probe", "min_step"])
+    def test_the_state_of_an_error_plays_on_from_a_fresh_cache(
+            self, trained_setup, probe_path, monkeypatch, failure):
+        """An error in the middle of an iteration (the R evaluation between
+        the steps of iteration 2, or iteration 2's min step) leaves no probe
+        count behind: err.state's next iteration has the bytes of a copy of
+        it given a fresh ProbeCache."""
+        with monkeypatch.context() as m:
+            if failure == "probe":
+                fail_on_r_evaluation(m, 8)
+            else:
+                fail_on_step(m, "minimization_step", 3, NumericalError("min step failed"))
+            with pytest.raises(NumericalError) as info:
+                self._run(trained_setup[0], None)
+        state = info.value.state
+        fresh = copy.deepcopy(state)
+        fresh.probe_cache = game.ProbeCache()
+        batches = [draw_batch(seeded_rng(1), self.HP.batch_size, 5, 4) for _ in range(2)]
+        for s in (state, fresh):
+            s.logs.append(play_iteration(s, *batches))
+        assert logs_and_players(state) == logs_and_players(fresh)
+
+    def test_another_exception_is_raised_as_it_came(self, trained_setup, probe_path,
+                                                     monkeypatch):
+        """A ValueError in the 5th max step is raised as it came, after the
+        worker has finished, and leaves no process behind (see conftest)."""
+        error = ValueError("max step failed")
+        fail_on_step(monkeypatch, "maximization_step", 5, error)
+        with pytest.raises(ValueError) as info:
+            self._run(*trained_setup)
+        assert info.value is error
+        assert multiprocessing.active_children() == []
+
     # 1: the first probe; 6: the last of iteration 1; 8: the one between the
-    # steps of iteration 2; 14: the one between the steps of epoch 1's first
-    @pytest.mark.parametrize("k", [1, 6, 8, 14])
+    # steps of iteration 2; 14: the one between the steps of epoch 1's first;
+    # 35 and 36: the last two of the game, after which the loop reads nothing
+    # from a worker until it finishes
+    @pytest.mark.parametrize("k", [1, 6, 8, 14, 35, 36])
     def test_a_probe_failure_equals_a_plain_loop(self, trained_setup, probe_path,
                                                  monkeypatch, k):
         p, eval_data = trained_setup
@@ -843,15 +892,7 @@ class TestProbeWorker:
         if end == "raise":
             fail_on_r_evaluation(monkeypatch, 5)
         if end == "interrupt":
-            step, steps = game.minimization_step, []
-
-            def interrupted(*args):
-                steps.append(None)
-                if len(steps) == 3:
-                    raise KeyboardInterrupt
-                return step(*args)
-
-            monkeypatch.setattr(game, "minimization_step", interrupted)
+            fail_on_step(monkeypatch, "minimization_step", 3, KeyboardInterrupt)
         p, eval_data = trained_setup
         if expected is None:
             self._run(p, eval_data)

@@ -29,8 +29,8 @@ from dfqgame.nets import (
     pretrain_p,
     save_checkpoint,
 )
-from dfqgame.quant import QuantConfig
-from helpers import collect_generated_bns
+from dfqgame.quant import QuantConfig, dequantize, quantize
+from helpers import collect_generated_bns, without_quantization
 
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
@@ -161,12 +161,29 @@ class TestQuantizedMLP:
         pretrain_p(p, tx, ty, sx, sy, epochs=25, rng=seeded_rng(4))
         return p, sx, sy
 
-    def test_disabled_quantization_matches_p(self):
+    def test_disabled_quantization_matches_p(self, monkeypatch):
+        without_quantization(monkeypatch)
         p, sx, _ = self._trained_p()
-        q = init_q_from_p(p, None)
+        q = init_q_from_p(p, QuantConfig(bits=3))
         zp = p.forward(Tensor(sx), mode="eval").data
         zq = q.forward(Tensor(sx)).data
         np.testing.assert_allclose(zq, zp, atol=1e-12)
+
+    def test_forward_quantizes_each_affine_input_and_weight(self):
+        """Q's forward is P's eval forward with each affine layer's input
+        and weight replaced by dequantize(quantize(.)) at Q's bit width."""
+        p, sx, _ = self._trained_p()
+        q = init_q_from_p(p, QuantConfig(bits=3))
+
+        def fq(a):
+            return dequantize(quantize(a, 3))
+
+        h = sx
+        for aff, bn in q.blocks:
+            h = fq(h) @ fq(aff.weight.data) + aff.bias.data
+            h = np.maximum(bn(Tensor(h), "eval").data, 0.0)
+        expected = fq(h) @ fq(q.head.weight.data) + q.head.bias.data
+        np.testing.assert_array_equal(q.forward(Tensor(sx)).data, expected)
 
     def test_quantization_perturbs_logits(self):
         p, sx, _ = self._trained_p()
@@ -190,10 +207,15 @@ class TestQuantizedMLP:
             np.testing.assert_array_equal(qb.running_var, pb.running_var)
 
     @pytest.mark.parametrize("cfg", [QuantConfig(3), None])
-    def test_weight_cache_follows_in_place_writes(self, cfg, tmp_path):
+    def test_weight_cache_follows_in_place_writes(self, cfg, tmp_path, monkeypatch):
         """Q keeps its quantized weights until `weights_moved`: after a
         write and that call, and after the game's min step, which makes
-        it, Q computes what a copy that never ran a forward computes."""
+        it, Q computes what a copy that never ran a forward computes. cfg
+        None: the quantizer is a straight-through identity, so every write
+        moves what Q keeps."""
+        if cfg is None:
+            without_quantization(monkeypatch)
+            cfg = QuantConfig(3)
         p, sx, _ = self._trained_p()
         q = init_q_from_p(p, cfg)
         x = Tensor(sx)
@@ -305,7 +327,6 @@ class TestCheckpoints:
     @pytest.mark.parametrize("builder", [
         lambda: MLP(SMALL, seeded_rng(7)),
         lambda: init_q_from_p(MLP(SMALL, seeded_rng(7)), QuantConfig(3)),
-        lambda: init_q_from_p(MLP(SMALL, seeded_rng(7)), None),
         lambda: Generator(SMALL_GEN, seeded_rng(7)),
     ])
     def test_round_trip_bit_exact(self, builder, tmp_path):
@@ -460,6 +481,7 @@ class TestCheckpoints:
             h | {"spec": h["spec"] | {"class_count": 1}}, b),
         "quant_bits_out_of_range": lambda h, b: (h | {"quant_bits": 99}, b),
         "quant_bits_not_an_integer": lambda h, b: (h | {"quant_bits": 3.5}, b),
+        "quant_bits_null": lambda h, b: (h | {"quant_bits": None}, b),
         "unknown_kind": lambda h, b: (h | {"kind": "resnet"}, b),
         "entry_without_shape": lambda h, b: (
             h | {"arrays": [{"name": e["name"]} for e in h["arrays"]]}, b),
