@@ -24,7 +24,7 @@ class Mutant:
 
 
 ENGINE, NETS, GAME = "src/dfqgame/engine.py", "src/dfqgame/nets.py", "src/dfqgame/game.py"
-ADAPT = "src/dfqgame/adapt.py"
+ADAPT, QUANT, XP = "src/dfqgame/adapt.py", "src/dfqgame/quant.py", "src/dfqgame/xp.py"
 HAND_OVER = "tests/test_engine.py::TestGradientHandOver::"
 PROBE_CACHE = "tests/test_game.py::TestProbeCache::"
 PROBE_WORKER = "tests/test_game.py::TestProbeWorker::"
@@ -312,4 +312,28 @@ MUTANTS = (
         "        return os.waitstatus_to_exitcode(",
         (PROBE_WORKER + "test_no_file_descriptor_outlives_a_game",),
         "the loop's end of the pipe outlives the game"),
+    Mutant(
+        "last-iteration-accuracy-past-the-game", GAME,
+        "last_iter = (epoch == hp.epochs - 1 and",
+        "last_iter = (epoch == hp.epochs + 1 and",
+        ("tests/test_game.py::TestRunGame::"
+         "test_q_accuracy_is_logged_every_period_and_on_the_last_iteration",),
+        "Q's accuracy is logged on the game's last iteration only when the"
+        " last epoch falls on eval_period"),
+    # -- the quantizer and the summary -----------------------------------------
+    Mutant(
+        "fake-quantize-without-the-clip", QUANT,
+        "        np.clip(x, lo, hi, out=x)\n",
+        "",
+        ("tests/test_quant.py::TestBlockedFakeQuantize::"
+         "test_an_overflowing_scale_is_clipped_into_the_range",),
+        "a scaled value that overflowed to inf dequantizes to inf instead of"
+        " the top of the range"),
+    Mutant(
+        "quartile-of-a-fifth", XP,
+        "    k = max(1, len(bgs) // 4)\n",
+        "    k = max(1, len(bgs) // 5)\n",
+        ("tests/test_xp.py::TestQuartileMeans::"
+         "test_mean_abs_bg_over_the_first_and_last_quarter",),
+        "summary.json's quartile means of |bg| average a fifth of the game"),
 )

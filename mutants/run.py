@@ -6,11 +6,13 @@ Copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
 runs every test the catalogue names once on the unmutated copy (they must
 pass), then applies one mutant at a time and runs only its tests, with `-x`
 and a timeout of TIMEOUT seconds (the unmutated run gets twice that). A
-mutant is killed when a test fails or the run times out (some mutants hang
-the probe worker), survives when its tests pass, and is an error when
-pytest ends any other way (say, a test id that collects nothing). Writes
-a JSON report (default `.mutants/report.json`) and exits 0 only when every
-mutant run was killed.
+mutant is killed when a test fails, a hang when the run times out (some
+mutants hang the probe worker), survives when its tests pass, and is an
+error when pytest ends any other way: a test id that collects nothing, or
+an exit code of 0 without pytest's "passed" summary line (a mutant that
+makes the test process itself exit). Writes a JSON report (default
+`.mutants/report.json`) and exits 0 only when every mutant run was killed
+or hung.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -34,7 +37,7 @@ from catalogue import MUTANTS  # noqa: E402
 
 COPIED = ("src", "tests", "pyproject.toml")
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-VERDICTS = {"failed": "killed", "timeout": "killed", "passed": "survived"}  # else "error"
+VERDICTS = {"failed": "killed", "timeout": "hang", "passed": "survived"}  # else "error"
 TIMEOUT = 300.0
 
 
@@ -53,6 +56,8 @@ def pytest(copy: Path, ids, timeout: float) -> tuple[str, int | None, str]:
         out, _ = proc.communicate()
         return "timeout", None, out[-2000:]
     status = {0: "passed", 1: "failed"}.get(proc.returncode, "error")
+    if status == "passed" and not re.search(r"^\d+ passed\b", out, re.M):
+        status = "error"  # exit 0, but pytest never reported
     return status, proc.returncode, out[-2000:]
 
 
@@ -63,7 +68,7 @@ def main(argv=None) -> int:
     mutants = list(MUTANTS)
 
     start = time.perf_counter()
-    report = {"mutants": [], "killed": [], "survived": [], "error": []}
+    report = {"mutants": [], "killed": [], "hang": [], "survived": [], "error": []}
     with tempfile.TemporaryDirectory(prefix="dfqgame-mutants-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -94,7 +99,7 @@ def main(argv=None) -> int:
             entry = {"name": m.name, "file": m.file, "tests": list(m.tests),
                      "verdict": verdict, "pytest": status, "returncode": code,
                      "seconds": round(time.perf_counter() - began, 1)}
-            if verdict != "killed":
+            if verdict not in ("killed", "hang"):
                 entry["output"] = tail
             report["mutants"].append(entry)
             report[verdict].append(m.name)
@@ -102,10 +107,12 @@ def main(argv=None) -> int:
     report["seconds"] = round(time.perf_counter() - start, 1)
     args.report.parent.mkdir(parents=True, exist_ok=True)
     args.report.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"{len(report['killed'])} killed, {len(report['survived'])} survived, "
-          f"{len(report['error'])} errors in {report['seconds']} s; "
+    print(f"{len(report['killed'])} killed, {len(report['hang'])} hangs, "
+          f"{len(report['survived'])} survived, {len(report['error'])} errors "
+          f"in {report['seconds']} s; "
           f"baseline {report['baseline']['status']}; report in {args.report}")
-    ok = report["baseline"]["status"] == "passed" and len(report["killed"]) == len(mutants)
+    caught = len(report["killed"]) + len(report["hang"])
+    ok = report["baseline"]["status"] == "passed" and caught == len(mutants)
     return 0 if ok else 1
 
 

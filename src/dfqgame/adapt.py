@@ -81,7 +81,7 @@ def info_entropy(p: Tensor) -> Tensor:
 
 
 def normalize_entropy(h_info: Tensor, class_count: int,
-                      batch_min: float | None = None) -> tuple[Tensor, float]:
+                      batch_min: float | None = None) -> Tensor:
     """H' = (h - min_batch) / (ln C - min_batch + eps), with the batch
     minimum and ln C treated as stop-gradient constants.
 
@@ -91,7 +91,7 @@ def normalize_entropy(h_info: Tensor, class_count: int,
     if batch_min is None:
         batch_min = float(h_info.data.min())
     denom = math.log(class_count) - batch_min + NORM_EPS
-    return (h_info - batch_min) * (1.0 / denom), batch_min
+    return (h_info - batch_min) * (1.0 / denom)
 
 
 def game_value(lp: LogitsPair, tau: float = 1.0) -> Tensor:
@@ -100,8 +100,7 @@ def game_value(lp: LogitsPair, tau: float = 1.0) -> Tensor:
     configured tau this is Q's calibration loss."""
     p_ds = softmax(lp.z_p - lp.z_q, temperature=tau)
     h_info = info_entropy(p_ds)
-    h_norm, _ = normalize_entropy(h_info, lp.class_count)
-    return 1.0 - h_norm.mean()
+    return 1.0 - normalize_entropy(h_info, lp.class_count).mean()
 
 
 def balance_gap(r_before: float, r_mid: float, r_after: float) -> BalanceGapRecord:

@@ -24,7 +24,9 @@ own + may swap its operands, and of two NaNs the first one's sign
 survives), and the backward computes what the primitives' sweep would
 send along each path. Only a zero's sign may differ in between: the first
 deposit into a gradient adds 0.0, so no stored gradient holds -0.0, and
-adding -0.0 to one changes nothing.
+adding -0.0 to one changes nothing. No command builds a node of those
+primitive ops (division, negation, exp, log, sqrt, a floor, reshape and
+sum): they are the tests' reference tape, in `tests/helpers.py`.
 
 `_node` hands a fresh single path to its parent as its first gradient
 instead of copying it; a tuple's paths are copied or added. The sweep
@@ -137,9 +139,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- elementwise arithmetic ------------------------------------------
 
     @staticmethod
@@ -163,9 +162,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._node(-self.data, (self,), lambda g: -g)
-
     def __sub__(self, other):
         other = self._coerce(other)
         return self._node(self._broadcast(np.subtract, self.data, other.data),
@@ -181,17 +177,6 @@ class Tensor:
                           lambda g: g * self.data)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if np.any(other.data == 0.0):
-            raise ZeroDivisionError("div: divisor tensor contains zero")
-        return self._node(self._broadcast(np.divide, self.data, other.data),
-                          (self, other), lambda g: g / other.data,
-                          lambda g: -g * self.data / (other.data * other.data))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     # -- linear algebra ---------------------------------------------------
 
@@ -214,42 +199,11 @@ class Tensor:
     # -- nonlinearities ----------------------------------------------------
 
     def relu(self) -> "Tensor":
-        return self.clip_min(0.0)
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        return self._node(out_data, (self,), lambda g: g * out_data)
-
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise ValueError("log: input must be strictly positive")
-        return self._node(np.log(self.data), (self,), lambda g: g / self.data)
-
-    def sqrt(self) -> "Tensor":
-        if np.any(self.data < 0.0):
-            raise ValueError("sqrt: input must be non-negative")
-        out_data = np.sqrt(self.data)
-        return self._node(out_data, (self,), lambda g: g * 0.5 / out_data)
-
-    def clip_min(self, floor: float) -> "Tensor":
-        """Elementwise max(self, floor); gradient is zero on the clipped set."""
-        mask = self.data > floor
-        return self._node(np.where(mask, self.data, floor), (self,),
-                          lambda g: g * mask)
-
-    def reshape(self, *shape) -> "Tensor":
-        return self._node(self.data.reshape(*shape), (self,),
-                          lambda g: g.reshape(self.shape))
+        """Elementwise max(self, 0); gradient is zero on the clipped set."""
+        mask = self.data > 0.0
+        return self._node(np.where(mask, self.data, 0.0), (self,), lambda g: g * mask)
 
     # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def grad(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape)
-
-        return self._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), grad)
 
     def mean(self, axis=None) -> "Tensor":
         """sum(axis) * (1 / n) as one tape node."""
@@ -509,9 +463,6 @@ class AdamState(_Packed):
         self.step_count = 0
         self._m, self._v = np.zeros((2, self._buf.size))
 
-    m = property(lambda self: self._views(self._m))
-    v = property(lambda self: self._views(self._v))
-
     def step(self) -> None:
         blocks = self._blocks("adam_step")
         self.step_count += 1
@@ -546,8 +497,6 @@ class SgdNesterovState(_Packed):
         super().__init__(params)
         self.lr = lr
         self._velocity = np.zeros_like(self._buf)
-
-    velocity = property(lambda self: self._views(self._velocity))
 
     def step(self) -> None:
         mu = self.MOMENTUM

@@ -232,7 +232,7 @@ def generator_loss(g: Generator, p: MLP, q: QuantizedMLP, z: Tensor, y: Tensor,
     p_ds = disagreement_distribution(lp)
     p_as = agreement_distribution(lp)
     h_info = info_entropy(p_ds)
-    h_norm, _ = normalize_entropy(h_info, lp.class_count)
+    h_norm = normalize_entropy(h_info, lp.class_count)
 
     l_ds = loss_ds(p_ds, y)
     l_as = loss_as(p_as, y)

@@ -127,7 +127,7 @@ def test_criterion_1_math_oracles(capsys):
         p_ds = disagreement_distribution(lp)
         p_as = agreement_distribution(lp)
         h_info = info_entropy(p_ds)
-        h_norm, _ = normalize_entropy(h_info, classes)
+        h_norm = normalize_entropy(h_info, classes)
         h_c = adaptability_vector(p_ds, 1.0 - h_norm)
 
         o_ds = oracle_softmax_rows(z_p - z_q)
@@ -284,7 +284,7 @@ def test_criterion_2_gradient_suite(capsys, monkeypatch):
         def eval_l_b():
             lp, _ = pair()
             h = info_entropy(disagreement_distribution(lp))
-            hn, _ = normalize_entropy(h, 4, batch_min=bm)
+            hn = normalize_entropy(h, 4, batch_min=bm)
             return loss_bound(hn, lam_l, lam_u)
 
         def eval_l_bns():

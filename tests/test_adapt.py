@@ -31,7 +31,7 @@ def entropy_stack(lp: LogitsPair):
     """disagreement distribution -> entropy -> H' -> H_C as plain arrays:
     (p_ds, h_norm, h, h_c)."""
     p_ds = disagreement_distribution(lp)
-    h_norm, _ = normalize_entropy(info_entropy(p_ds), lp.class_count)
+    h_norm = normalize_entropy(info_entropy(p_ds), lp.class_count)
     h = 1.0 - h_norm
     return p_ds.data, h_norm.data, h.data, adaptability_vector(p_ds, h).data
 
@@ -95,33 +95,34 @@ class TestEntropy:
 class TestNormalizedEntropy:
     def test_batch_min_maps_to_zero(self):
         h = Tensor(np.array([0.5, 1.0, 2.0]))
-        h_norm, batch_min = normalize_entropy(h, class_count=10)
-        assert batch_min == 0.5
+        h_norm = normalize_entropy(h, class_count=10)
         assert h_norm.data[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(h_norm.data[1:] > 0.0)
 
     def test_range_is_unit_interval(self):
         lp = random_pair(4, batch=32)
         p = disagreement_distribution(lp)
-        h_norm, _ = normalize_entropy(info_entropy(p), 10)
+        h_norm = normalize_entropy(info_entropy(p), 10)
         assert np.all(h_norm.data >= 0.0)
         assert np.all(h_norm.data <= 1.0)
 
     def test_denominator_formula(self):
         h = Tensor(np.array([0.3, 1.1]))
-        h_norm, _ = normalize_entropy(h, class_count=7)
+        h_norm = normalize_entropy(h, class_count=7)
         denom = math.log(7) - 0.3 + NORM_EPS
         assert h_norm.data[1] == pytest.approx((1.1 - 0.3) / denom, rel=1e-12)
 
     def test_pinned_batch_min_is_respected(self):
         h = Tensor(np.array([0.5, 1.0]))
-        h_norm, batch_min = normalize_entropy(h, 10, batch_min=0.25)
-        assert batch_min == 0.25
-        assert h_norm.data[0] > 0.0
+        h_norm = normalize_entropy(h, 10, batch_min=0.25)
+        denom = math.log(10) - 0.25 + NORM_EPS
+        assert h_norm.data.tolist() == [(0.5 - 0.25) * (1.0 / denom),
+                                        (1.0 - 0.25) * (1.0 / denom)]
 
     def test_aligned_batch_guarded_by_epsilon(self):
         # every sample at maximal entropy: denominator would vanish bar eps
         h = Tensor(np.full(4, math.log(10)))
-        h_norm, _ = normalize_entropy(h, 10)
+        h_norm = normalize_entropy(h, 10)
         np.testing.assert_allclose(h_norm.data, np.zeros(4), atol=1e-12)
 
 

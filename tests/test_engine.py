@@ -19,6 +19,7 @@ from dfqgame.engine import (
     seeded_rng,
     softmax,
 )
+from helpers import clip_min, exp, log, neg, reshape, sqrt, sum_, truediv
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -31,12 +32,14 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+BINARY_OPS = (operator.add, operator.sub, operator.mul, truediv)
+NUMPY_OPS = {operator.add: np.add, operator.sub: np.subtract,
+             operator.mul: np.multiply, truediv: np.divide}
 
 
 def check_unary(op, x, f_np, h=1e-6, tol=1e-6):
     t = Tensor(x, requires_grad=True)
-    out = op(t).sum()
+    out = sum_(op(t))
     out.backward()
     expected = numeric_grad(lambda a: f_np(a).sum(), x, h)
     np.testing.assert_allclose(t.grad, expected, rtol=tol, atol=tol)
@@ -52,12 +55,12 @@ class TestArithmetic:
         np.testing.assert_array_equal((a + 1.0).data, [2.0, 3.0])
         np.testing.assert_array_equal((2.0 * a).data, [2.0, 4.0])
         np.testing.assert_array_equal((1.0 - a).data, [0.0, -1.0])
-        np.testing.assert_array_equal((2.0 / a).data, [2.0, 1.0])
+        np.testing.assert_array_equal(truediv(2.0, a).data, [2.0, 1.0])
 
     def test_mul_backward(self):
         a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         b = Tensor([4.0, 5.0, 6.0], requires_grad=True)
-        (a * b).sum().backward()
+        sum_(a * b).backward()
         np.testing.assert_array_equal(a.grad, [4.0, 5.0, 6.0])
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
 
@@ -67,17 +70,17 @@ class TestArithmetic:
         y = rng.uniform(0.5, 2.0, (3, 4))
         a = Tensor(x, requires_grad=True)
         b = Tensor(y, requires_grad=True)
-        (a / b).sum().backward()
+        sum_(truediv(a, b)).backward()
         np.testing.assert_allclose(a.grad, 1.0 / y)
         np.testing.assert_allclose(b.grad, -x / y**2)
 
     def test_div_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            Tensor([1.0]) / Tensor([0.0])
+            truediv(Tensor([1.0]), Tensor([0.0]))
 
     def test_neg(self):
         a = Tensor([1.0, -2.0], requires_grad=True)
-        (-a).sum().backward()
+        sum_(neg(a)).backward()
         np.testing.assert_array_equal(a.grad, [-1.0, -1.0])
 
     def test_shape_mismatch_raises(self):
@@ -93,21 +96,21 @@ class TestArithmetic:
         for op in BINARY_OPS:
             a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
             out = op(a, b)
-            np.testing.assert_array_equal(out.data, op(x, y))
-            out.sum().backward()
+            np.testing.assert_array_equal(out.data, NUMPY_OPS[op](x, y))
+            sum_(out).backward()
             assert a.grad.shape == (3, 1) and b.grad.shape == (1, 4)
 
     def test_broadcast_row_vector(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.arange(4.0), requires_grad=True)
-        (a * b).sum().backward()
+        sum_(a * b).backward()
         np.testing.assert_array_equal(a.grad, np.tile(np.arange(4.0), (3, 1)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
 
     def test_broadcast_keepdims_column(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
-        s = a.sum(axis=1, keepdims=True)
-        (a / s).sum().backward()
+        s = sum_(a, axis=1, keepdims=True)
+        sum_(truediv(a, s)).backward()
         # d/da of sum(a / rowsum) with a == 1: each row contributes zero
         np.testing.assert_allclose(a.grad, np.zeros((3, 4)), atol=1e-12)
 
@@ -119,35 +122,35 @@ class TestUnaryOps:
 
     def test_exp(self):
         x = seeded_rng(1).uniform(-1, 1, (2, 3))
-        check_unary(lambda t: t.exp(), x, np.exp)
+        check_unary(exp, x, np.exp)
 
     def test_log(self):
         x = seeded_rng(2).uniform(0.5, 3.0, (2, 3))
-        check_unary(lambda t: t.log(), x, np.log)
+        check_unary(log, x, np.log)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Tensor([0.0]).log()
+            log(Tensor([0.0]))
 
     def test_sqrt(self):
         x = seeded_rng(3).uniform(0.5, 3.0, 5)
-        check_unary(lambda t: t.sqrt(), x, np.sqrt)
+        check_unary(sqrt, x, np.sqrt)
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(ValueError):
-            Tensor([-1.0]).sqrt()
+            sqrt(Tensor([-1.0]))
 
     def test_clip_min(self):
         x = np.array([-1.0, 0.5, 2.0])
         t = Tensor(x, requires_grad=True)
-        out = t.clip_min(0.0)
+        out = clip_min(t, 0.0)
         np.testing.assert_array_equal(out.data, [0.0, 0.5, 2.0])
-        out.sum().backward()
+        sum_(out).backward()
         np.testing.assert_array_equal(t.grad, [0.0, 1.0, 1.0])
 
     def test_reshape_round_trip(self):
         t = Tensor(np.arange(6.0), requires_grad=True)
-        (t.reshape(2, 3) * 2.0).sum().backward()
+        sum_(reshape(t, 2, 3) * 2.0).backward()
         np.testing.assert_array_equal(t.grad, np.full(6, 2.0))
 
 
@@ -161,7 +164,7 @@ class TestMatmulAndReductions:
         rng = seeded_rng(4)
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        (a @ b).sum().backward()
+        sum_(a @ b).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 4)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 4)))
 
@@ -173,7 +176,7 @@ class TestMatmulAndReductions:
 
     def test_sum_axis_backward(self):
         t = Tensor(np.ones((3, 4)), requires_grad=True)
-        t.sum(axis=0).sum().backward()
+        sum_(sum_(t, axis=0)).backward()
         np.testing.assert_array_equal(t.grad, np.ones((3, 4)))
 
     def test_mean(self):
@@ -196,14 +199,14 @@ class TestBackwardMechanics:
 
     def test_leaf_grads_accumulate_across_calls(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
-        (t * 3.0).sum().backward()
-        (t * 3.0).sum().backward()
+        sum_(t * 3.0).backward()
+        sum_(t * 3.0).backward()
         np.testing.assert_array_equal(t.grad, [6.0, 6.0])
 
     def test_diamond_graph(self):
         # z = (x + x) * x must see both paths: dz/dx = 4x
         t = Tensor([3.0], requires_grad=True)
-        ((t + t) * t).sum().backward()
+        sum_((t + t) * t).backward()
         np.testing.assert_allclose(t.grad, [12.0])
 
     def test_first_gradient_is_not_aliased(self):
@@ -211,7 +214,7 @@ class TestBackwardMechanics:
         # accumulation into a must not show up in b
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        loss = (a + b).sum() + (a * 3.0).sum()
+        loss = sum_(a + b) + sum_(a * 3.0)
         loss.backward()
         np.testing.assert_array_equal(a.grad, [4.0, 4.0, 4.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
@@ -220,13 +223,13 @@ class TestBackwardMechanics:
         # relu of a negative input passes -1 * False = -0.0 back; the
         # stored gradient is +0.0, as a zero-initialized buffer gives
         t = Tensor([-1.0], requires_grad=True)
-        (t.relu() * -1.0).sum().backward()
+        sum_(t.relu() * -1.0).backward()
         assert t.grad[0] == 0.0 and not np.signbit(t.grad[0])
 
     def test_interior_grads_cleared(self):
         t = Tensor([1.0], requires_grad=True)
         mid = t * 2.0
-        mid.sum().backward()
+        sum_(mid).backward()
         assert mid.grad is None
         assert t.grad is not None
 
@@ -239,8 +242,8 @@ class TestBackwardMechanics:
             x.grad = np.array([0.0, -1e16, 1.0, 3e-17])
             big, one, neg, small = x * 1e16, x * 3.0, x * -1e16, x * 1e-3
             shared = one + big
-            loss = ((neg + shared) * 2.0 + (small + shared) * -1.0 + (big + small)
-                    + small).sum()
+            loss = sum_((neg + shared) * 2.0 + (small + shared) * -1.0 + (big + small)
+                        + small)
             backward(loss)
             return x.grad.tobytes()
 
@@ -289,7 +292,7 @@ class TestGradientHandOver:
     def test_shared_arrays_are_copied(self, grad):
         x = Tensor(seeded_rng(0).standard_normal((3, 4)), requires_grad=True)
         out, seen = self._capture(x, grad)
-        (out * Tensor(np.full((3, 4), -2.0))).sum().backward()
+        sum_(out * Tensor(np.full((3, 4), -2.0))).backward()
         assert not np.shares_memory(x.grad, seen["upstream"])
         assert not np.shares_memory(x.grad, seen["result"])
         assert x.grad.flags.writeable and x.grad.base is None
@@ -298,7 +301,7 @@ class TestGradientHandOver:
     def test_fresh_array_is_taken_over(self):
         x = Tensor([[-1.0, 2.0]], requires_grad=True)
         out, seen = self._capture(x, lambda g: g * 0.0)  # -0.0 where g < 0
-        (out * Tensor([[-1.0, 1.0]])).sum().backward()
+        sum_(out * Tensor([[-1.0, 1.0]])).backward()
         assert x.grad is seen["result"]
         assert not np.signbit(x.grad).any()  # as g * 0.0 + 0.0 gives
 
@@ -307,7 +310,7 @@ class TestGradientHandOver:
         x.grad = np.array([0.5, 0.5])
         prior = x.grad
         out, seen = self._capture(x, lambda g: g * 3.0)
-        out.sum().backward()
+        sum_(out).backward()
         assert x.grad is prior and x.grad.tolist() == [3.5, 3.5]
         assert seen["result"].tolist() == [3.0, 3.0]
 
@@ -319,7 +322,7 @@ class TestGradientHandOver:
         accumulate = Tensor._accumulate
         monkeypatch.setattr(Tensor, "_accumulate",
                             lambda t, g: (copied.append(t), accumulate(t, g)))
-        (x @ w).sum().backward()
+        sum_(x @ w).backward()
         assert w not in copied
         assert w.grad.tobytes() == (x.data.T @ np.ones((5, 3)) + 0.0).tobytes()
 
@@ -335,7 +338,7 @@ class TestGradientHandOver:
         x = Tensor(np.zeros(3), requires_grad=True)
         x.grad = prior = start.copy()
         out, _ = self._capture(x, lambda g: (a.copy(), b.copy()))
-        out.sum().backward()
+        sum_(out).backward()
         assert x.grad is prior
         assert x.grad.tobytes() == (start + a + b).tobytes()
         for other in (start + b + a, start + (a + b)):
@@ -344,7 +347,7 @@ class TestGradientHandOver:
     def test_the_same_path_twice_is_copied(self):
         x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
         out, seen = self._capture(x, lambda g: (g * 3.0,) * 2)
-        out.sum().backward()
+        sum_(out).backward()
         path = seen["result"][0]
         assert not np.shares_memory(x.grad, path)
         assert path.tolist() == [[3.0, 3.0]]  # left as it was returned
@@ -353,14 +356,14 @@ class TestGradientHandOver:
     def test_a_first_path_of_negative_zero_is_stored_as_positive_zero(self):
         x = Tensor(np.zeros(2), requires_grad=True)
         out, _ = self._capture(x, lambda g: (np.array([-0.0, -0.0]),))
-        out.sum().backward()
+        sum_(out).backward()
         assert x.grad.tolist() == [0.0, 0.0] and not np.signbit(x.grad).any()
 
     def test_a_later_path_is_added_by_broadcasting(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
         first = np.arange(6.0).reshape(3, 2)
         out, _ = self._capture(x, lambda g: (first.copy(), np.array([0.5, -1.0])))
-        out.sum().backward()
+        sum_(out).backward()
         assert x.grad.shape == (3, 2)
         assert x.grad.tobytes() == (first + 0.0 + np.array([0.5, -1.0])).tobytes()
 
@@ -372,8 +375,8 @@ class TestGradientHandOver:
         def grad(name):
             return lambda g: ran.append(name) or (g * 2.0, g * 3.0)
 
-        Tensor._node(frozen_x.data + y.data, (frozen_x, y),
-                     grad("x"), grad("y")).sum().backward()
+        sum_(Tensor._node(frozen_x.data + y.data, (frozen_x, y),
+                          grad("x"), grad("y"))).backward()
         assert ran == ["y"] and frozen_x.grad is None
         assert y.grad.tolist() == [5.0, 5.0]
 
@@ -386,23 +389,24 @@ BINARY_GRADS = {
     operator.add: (lambda g, a, b: g, lambda g, a, b: g),
     operator.sub: (lambda g, a, b: g, lambda g, a, b: -g),
     operator.mul: (lambda g, a, b: g * b, lambda g, a, b: g * a),
-    operator.truediv: (lambda g, a, b: g / b,
-                       lambda g, a, b: -g * a / (b * b)),
+    truediv: (lambda g, a, b: g / b,
+              lambda g, a, b: -g * a / (b * b)),
     operator.matmul: (lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g),
 }
 
 # (op, gradient into x as a function of g, x and the output's array)
 UNARY_GRADS = (
-    (operator.neg, lambda g, x, out: -g),
-    (Tensor.exp, lambda g, x, out: g * out),
-    (Tensor.log, lambda g, x, out: g / x),
-    (Tensor.sqrt, lambda g, x, out: g * 0.5 / out),
-    (lambda t: t.clip_min(0.8), lambda g, x, out: g * (x > 0.8)),
-    (lambda t: t.reshape(4, 3), lambda g, x, out: g.reshape(x.shape)),
-    (lambda t: t.sum(axis=0),
+    (neg, lambda g, x, out: -g),
+    (exp, lambda g, x, out: g * out),
+    (log, lambda g, x, out: g / x),
+    (sqrt, lambda g, x, out: g * 0.5 / out),
+    (lambda t: clip_min(t, 0.8), lambda g, x, out: g * (x > 0.8)),
+    (lambda t: reshape(t, 4, 3), lambda g, x, out: g.reshape(x.shape)),
+    (lambda t: sum_(t, axis=0),
      lambda g, x, out: np.broadcast_to(np.expand_dims(g, 0), x.shape)),
-    (lambda t: t.sum(axis=1, keepdims=True),
+    (lambda t: sum_(t, axis=1, keepdims=True),
      lambda g, x, out: np.broadcast_to(g, x.shape)),
+    (Tensor.relu, lambda g, x, out: g * (x > 0.0)),
 )
 
 
@@ -424,7 +428,7 @@ class TestRoutingContract:
     def _sweep(out, rng):
         """Backward from sum(out * w); returns w, the gradient out receives."""
         w = rng.standard_normal(out.shape)
-        (out * Tensor(w)).sum().backward()
+        sum_(out * Tensor(w)).backward()
         return w  # 1.0 * w + 0.0 is w itself
 
     @staticmethod
@@ -518,7 +522,7 @@ class TestSoftmax:
         z0 = seeded_rng(7).standard_normal((3, 4))
         t = Tensor(z0, requires_grad=True)
         w = seeded_rng(8).standard_normal((3, 4))
-        (softmax(t) * Tensor(w)).sum().backward()
+        sum_(softmax(t) * Tensor(w)).backward()
         expected = numeric_grad(
             lambda z: (softmax(Tensor(z.reshape(3, 4))).data * w).sum(),
             z0.copy())
@@ -574,7 +578,7 @@ class TestBatchNorm:
     def test_affine_params_receive_gradients(self):
         bn = BatchNorm(3)
         x = Tensor(seeded_rng(10).standard_normal((8, 3)))
-        bn(x, mode="train").sum().backward()
+        sum_(bn(x, mode="train")).backward()
         assert bn.gamma.grad is not None
         assert bn.beta.grad is not None
         np.testing.assert_allclose(bn.beta.grad, np.full(3, 8.0))
@@ -598,7 +602,7 @@ class TestOptimizers:
         w = Tensor([5.0], requires_grad=True)
         opt = AdamState([w], lr=0.1)
         for _ in range(200):
-            (w * w).sum().backward()
+            sum_(w * w).backward()
             opt.step()
         assert abs(w.data[0]) < 0.1
 
@@ -713,7 +717,7 @@ class TestOptimizersMatchReference:
             opt.step()
             reference_adam_step(data, m, v, grads, step + 1, 0.01)
             self._assert_bitwise([t.data for t in params], data)
-            self._assert_bitwise(opt.m + opt.v, m + v)
+            self._assert_bitwise(opt._views(opt._m) + opt._views(opt._v), m + v)
 
     @pytest.mark.parametrize("mu, weight_decay",
                              [(0.9, 1e-4), (0.0, 1e-4), (0.9, 0.0), (0.0, 0.0)])
@@ -734,7 +738,7 @@ class TestOptimizersMatchReference:
             opt.step()
             reference_nesterov_step(data, velocity, grads, 0.05)
             self._assert_bitwise([t.data for t in params], data)
-            self._assert_bitwise(opt.velocity, velocity)
+            self._assert_bitwise(opt._views(opt._velocity), velocity)
 
 
 class TestBlockedStepMatchesReference(TestOptimizersMatchReference):

@@ -1,8 +1,8 @@
 """Batch norm, softmax, label cross-entropy, entropy, the mean, the batch
 variance and the generator loss's terms and weighted sum are one tape node
-each. These tests rebuild each op from the engine's primitive ops (the
-reference tape) and require the fused node to give the same output and the
-same gradients byte for byte, or to raise the same exception."""
+each. These tests rebuild each op from the primitive ops (the reference
+tape in `helpers`) and require the fused node to give the same output and
+the same gradients byte for byte, or to raise the same exception."""
 
 import math
 
@@ -17,14 +17,15 @@ from dfqgame.game import (HyperParams, draw_batch, generator_loss, init_game,
                           maximization_step, minimization_step)
 from dfqgame.nets import Generator, GeneratorSpec, NetworkSpec, init_q_from_p
 from dfqgame.quant import QuantConfig
-from helpers import without_quantization
+from helpers import (clip_min, exp, log, neg, sqrt, sum_, truediv,
+                     without_quantization)
 
 # -- the reference tape: the fused ops composed from primitive nodes -------------
 
 
 def ref_mean(t, axis=None):
     n = t.size if axis is None else t.shape[axis]
-    return t.sum(axis=axis) * (1.0 / n)
+    return sum_(t, axis=axis) * (1.0 / n)
 
 
 def ref_batch_variance(h, mu):
@@ -42,8 +43,8 @@ def ref_bns_term(mu_g, var_g, mu_s, var_s, stat="variance"):
     if stat == "variance":
         d_sig = var_g - Tensor(var_s)
     else:
-        d_sig = var_g.sqrt() - Tensor(np.sqrt(var_s))
-    return (d_mu * d_mu).sum() + (d_sig * d_sig).sum()
+        d_sig = sqrt(var_g) - Tensor(np.sqrt(var_s))
+    return sum_(d_mu * d_mu) + sum_(d_sig * d_sig)
 
 
 def ref_weighted_loss(l_ds, l_as, l_b, l_bns, hp):
@@ -57,8 +58,8 @@ def ref_softmax(z, temperature=1.0):
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
     t = z * (1.0 / temperature)
     shift = Tensor(t.data.max(axis=-1, keepdims=True))
-    e = (t - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    e = exp(t - shift)
+    return truediv(e, sum_(e, axis=-1, keepdims=True))
 
 
 def ref_batch_norm(bn, x, mode):
@@ -74,22 +75,22 @@ def ref_batch_norm(bn, x, mode):
             m = bn.MOMENTUM
             bn.running_mean = (1 - m) * bn.running_mean + m * mu.data
             bn.running_var = (1 - m) * bn.running_var + m * var.data
-        xhat = (x - mu) / (var + bn.EPS).sqrt()
+        xhat = truediv(x - mu, sqrt(var + bn.EPS))
     elif mode == "eval":
         mu = Tensor(bn.running_mean)
         std = Tensor(np.sqrt(bn.running_var + bn.EPS))
-        xhat = (x - mu) / std
+        xhat = truediv(x - mu, std)
     else:
         raise ValueError(f"batch_norm: unknown mode {mode!r}")
     return xhat * bn.gamma + bn.beta
 
 
 def ref_label_cross_entropy(p, y_onehot):
-    return -(y_onehot * p.clip_min(1e-12).log()).sum(axis=-1).mean()
+    return neg(sum_(y_onehot * log(clip_min(p, 1e-12)), axis=-1).mean())
 
 
 def ref_info_entropy(p):
-    return -(p * p.clip_min(adapt._ENTROPY_FLOOR).log()).sum(axis=-1)
+    return neg(sum_(p * log(clip_min(p, adapt._ENTROPY_FLOOR)), axis=-1))
 
 
 # -- comparison helpers ----------------------------------------------------------
@@ -216,7 +217,7 @@ def test_batch_norm_node_matches_the_reference_tape(data):
             bn.gamma, bn.beta = gamma, beta
             bn.running_mean, bn.running_var = running_mean.copy(), running_var.copy()
             out = norm(bn, x, mode)
-            return (out * Tensor(w)).sum(), (bits(out.data), bits(bn.running_mean),
+            return sum_(out * Tensor(w)), (bits(out.data), bits(bn.running_mean),
                                              bits(bn.running_var))
         return loss
 
@@ -238,7 +239,7 @@ def test_batch_norm_negates_each_term_before_the_means_sum():
             bn = BatchNorm(1)
             bn.gamma, bn.beta = gamma, beta
             out = norm(bn, x, "batch")
-            return (out * Tensor(w)).sum(), bits(out.data)
+            return sum_(out * Tensor(w)), bits(out.data)
         return loss
 
     leaves = [(x, True, None), (np.ones(1), True, None), (np.zeros(1), True, None)]
@@ -263,7 +264,7 @@ def test_batch_norm_negates_each_term_before_the_variances_sum():
             bn = BatchNorm(1)
             bn.gamma, bn.beta = gamma, beta
             out = norm(bn, x, "batch")
-            return (out * Tensor(w)).sum(), bits(out.data)
+            return sum_(out * Tensor(w)), bits(out.data)
         return loss
 
     leaves = [(x, True, None), (np.ones(1), True, None), (np.zeros(1), True, None)]
@@ -292,8 +293,8 @@ def test_softmax_entropy_and_cross_entropy_nodes_match_the_reference_tape(data):
             p = softmax(z, temperature=tau)
             l_ce = cross_entropy(p, Tensor(y))
             h = entropy(p)
-            h_norm, _ = normalize_entropy(h, classes, batch_min)
-            out = l_ce * w_ce + (h_norm * Tensor(w_h)).sum()
+            h_norm = normalize_entropy(h, classes, batch_min)
+            out = l_ce * w_ce + sum_(h_norm * Tensor(w_h))
             return out, (bits(p.data), bits(l_ce.data), bits(h.data))
         return loss
 
@@ -312,7 +313,7 @@ def test_softmax_negates_each_term_before_the_rows_sum():
     def build(softmax):
         def loss(z):
             p = softmax(z)
-            return (p * Tensor(w)).sum() * 1e10, bits(p.data)
+            return sum_(p * Tensor(w)) * 1e10, bits(p.data)
         return loss
 
     fused = run(build(engine.softmax), [(z, True, None)])
@@ -339,7 +340,7 @@ def test_mean_node_matches_the_reference_tape(data):
     def build(mean):
         def loss(x):
             out = mean(x, axis=axis)
-            return (out * Tensor(w)).sum() + (x * Tensor(w_x)).sum(), bits(out.data)
+            return sum_(out * Tensor(w)) + sum_(x * Tensor(w_x)), bits(out.data)
         return loss
 
     assert run(build(Tensor.mean), [x]) == run(build(ref_mean), [x])
@@ -362,7 +363,7 @@ def test_batch_variance_node_matches_the_reference_tape(data):
             if tap:
                 mu = mean(h, axis=0)
             var = variance(h, mu)
-            out = (var * Tensor(w)).sum() + (mu * Tensor(w_mu)).sum()
+            out = sum_(var * Tensor(w)) + sum_(mu * Tensor(w_mu))
             return out, (bits(var.data), bits(mu.data))
         return loss
 
@@ -386,7 +387,7 @@ def test_loss_bound_node_matches_the_reference_tape(data):
     def build(bound):
         def loss(h):
             out = bound(h, lambda_l, lambda_u)
-            return out * scale + (h * Tensor(w_h)).sum(), bits(out.data)
+            return out * scale + sum_(h * Tensor(w_h)), bits(out.data)
         return loss
 
     assert run(build(game.loss_bound), [h]) == run(build(ref_loss_bound), [h])
@@ -418,7 +419,7 @@ def test_bns_term_node_matches_the_reference_tape(data):
             out = term(mu_g, var_g, mu_s, var_s, stat)
             total = out * scale
             if extra:  # other consumers of the moments
-                total = total + (mu_g * Tensor(w_mu)).sum() + (var_g * Tensor(w_var)).sum()
+                total = total + sum_(mu_g * Tensor(w_mu)) + sum_(var_g * Tensor(w_var))
             return total, bits(out.data)
         return loss
 

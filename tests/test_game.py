@@ -405,6 +405,20 @@ class TestRunGame:
         state = run_game(p, q, g, hp, seeded_rng(0))
         assert state.opt_q.lr == pytest.approx(hp.lr_q * 0.01)
 
+    def test_q_accuracy_is_logged_every_period_and_on_the_last_iteration(
+            self, trained_setup):
+        """The last epoch, 3, is off the period of 2: its last iteration
+        still logs Q's accuracy, that of the Q the game hands back."""
+        p, eval_data = trained_setup
+        q, g = fresh_players(p)
+        hp = HyperParams(epochs=4, iters_per_epoch=2)
+        state = run_game(p, q, g, hp, seeded_rng(0), eval_data=eval_data,
+                         eval_period=2)
+        logged = [(log.epoch, log.iteration) for log in state.logs
+                  if log.q_accuracy is not None]
+        assert logged == [(0, 1), (2, 1), (3, 1)]
+        assert state.logs[-1].q_accuracy == nets.accuracy(q, *eval_data)
+
     def test_zero_epochs_no_logs(self, trained_setup):
         p, _ = trained_setup
         q, g = fresh_players(p)

@@ -30,7 +30,7 @@ from dfqgame.nets import (
     save_checkpoint,
 )
 from dfqgame.quant import QuantConfig, dequantize, quantize
-from helpers import collect_generated_bns, without_quantization
+from helpers import collect_generated_bns, sum_, without_quantization
 
 
 SMALL = NetworkSpec(input_dim=6, hidden=(8, 8), class_count=4)
@@ -231,7 +231,7 @@ class TestQuantizedMLP:
         def grads():
             for t in q.parameters():
                 t.grad = None
-            q.forward(x).sum().backward()
+            sum_(q.forward(x)).backward()
             return [t.grad.copy() for t in q.parameters()]
 
         snap = [t.data.copy() for t in q.parameters()]

@@ -15,6 +15,7 @@ from dfqgame.quant import (
     dequantize,
     quantize,
 )
+from helpers import sum_
 
 
 class TestQuantConfig:
@@ -104,7 +105,7 @@ class TestFakeQuantize:
     def test_straight_through_gradient(self):
         x = Tensor(seeded_rng(3).standard_normal(6), requires_grad=True)
         w = seeded_rng(4).standard_normal(6)
-        (fake_quantize(x, 2) * Tensor(w)).sum().backward()
+        sum_(fake_quantize(x, 2) * Tensor(w)).backward()
         # the rounding is treated as identity: grad passes through untouched
         np.testing.assert_array_equal(x.grad, w)
 
@@ -180,6 +181,15 @@ class TestBlockedFakeQuantize:
             assert _same_bits(fake_quantize_array(theta, 3),
                               _reference(theta, 3))
         assert calls == [3, 3]
+
+    def test_an_overflowing_scale_is_clipped_into_the_range(self):
+        """At a range of 2e306, (theta - t_min) * (2^bits - 1) overflows to
+        inf above the bottom; the clip to the top code keeps every output
+        inside [t_min, t_max]."""
+        theta = np.array([-1e306, 0.0, 1e306])
+        with np.errstate(over="ignore"):
+            out = fake_quantize_array(theta, 8)
+        assert np.all((out >= theta[0]) & (out <= theta[-1]))
 
     def test_finite_ranges_skip_the_reference_path(self, monkeypatch):
         monkeypatch.setattr(quant, "quantize", None)  # any call would raise

@@ -273,6 +273,25 @@ class TestMetricsEmission:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestQuartileMeans:
+    @staticmethod
+    def _logs(bgs):
+        return [game.IterationLog(epoch=0, iteration=i, l_ds=0.0, l_as=0.0, l_b=0.0,
+                                  l_bns=0.0, l_g=0.0, l_q=0.0,
+                                  bg=balance_gap(0.0, 0.5, v), mean_h_norm=0.0)
+                for i, v in enumerate(bgs)]
+
+    @pytest.mark.parametrize("bgs, first, last", [
+        ([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0, 8.0], 1.5, 7.5),  # quarters of 2
+        ([0.5, -0.25, 2.0], 0.5, 2.0),  # fewer than 4 iterations: one each
+    ])
+    def test_mean_abs_bg_over_the_first_and_last_quarter(self, bgs, first, last):
+        logs = self._logs(bgs)
+        assert [log.bg.bg for log in logs] == bgs
+        assert xp._quartile_bg(logs, "first") == first
+        assert xp._quartile_bg(logs, "last") == last
+
+
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
